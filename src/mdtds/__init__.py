@@ -3,9 +3,9 @@
 Reduced-word arithmetic and Cayley-ball enumeration, subgroup membership
 oracles, orbit evaluation with bounded fixed/periodicity verification, ball
 averages over growing radii, and two exactly solvable models (linear growth
-rates and circle rotations).  Hot traversals run on a compiled kernel when
-the extension is built, with a pure-Python fallback selected at import; set
-``MDTDS_PURE_PYTHON=1`` to force the fallback.
+rates and circle rotations).  The models' ball averages come from sphere-sum
+recurrences; one pure-Python tree walk computes everything else and serves
+as the brute-force oracle those recurrences are tested against.
 """
 
 __version__ = "0.1.0"

@@ -1,62 +1,15 @@
-"""Pure-Python traversal kernels: per-sphere accumulation over Cayley balls.
+"""The tree walk: per-sphere accumulation over one subtree of a Cayley ball.
 
-Each function walks one top-level subtree (all words ending with a fixed
+The function walks one top-level subtree (all words ending with a fixed
 signed letter) in the canonical depth-first order and returns per-depth sums,
-index 0 unused (the root ``e`` belongs to the orchestrator).  Arithmetic is
-arbitrary-precision Python integers or opaque objects; the compiled twin in
-``_kernel_cy`` implements the same contract.
+index 0 unused (the root ``e`` belongs to the caller in :mod:`mdtds._kernels`).
+Values are opaque objects combined with ``+``, so integers, Fractions and
+floats all go through the same walk.
 
 Letter indexing: ``2*(gen-1) + (0 if sign>0 else 1)``; the inverse of letter
 ``i`` is ``i ^ 1``.
 """
 from __future__ import annotations
-
-BACKEND = "python"
-
-
-def subtree_scan_mult(n_gens: int, n_max: int, mults, x0, root_letter: int):
-    """Per-depth sums with multiplicative steps: child = parent * mults[letter].
-
-    Returns a list of length n_max + 1; entry d is the sum over subtree words
-    of length d, entry 0 is 0.
-    """
-    q = 2 * n_gens
-    sums = [0] * (n_max + 1)
-    if n_max < 1:
-        return sums
-    stack = [(1, x0 * mults[root_letter], root_letter ^ 1)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        depth, value, blocked = pop()
-        sums[depth] += value
-        if depth < n_max:
-            child_depth = depth + 1
-            for li in range(q - 1, -1, -1):
-                if li != blocked:
-                    push((child_depth, value * mults[li], li ^ 1))
-    return sums
-
-
-def subtree_scan_addmod(n_gens: int, n_max: int, steps, modulus: int,
-                        x0: int, root_letter: int):
-    """Per-depth sums with additive steps mod ``modulus`` (0 <= value < mod)."""
-    q = 2 * n_gens
-    sums = [0] * (n_max + 1)
-    if n_max < 1:
-        return sums
-    stack = [(1, (x0 + steps[root_letter]) % modulus, root_letter ^ 1)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        depth, value, blocked = pop()
-        sums[depth] += value
-        if depth < n_max:
-            child_depth = depth + 1
-            for li in range(q - 1, -1, -1):
-                if li != blocked:
-                    push((child_depth, (value + steps[li]) % modulus, li ^ 1))
-    return sums
 
 
 def subtree_scan_object(n_gens: int, n_max: int, step, x0, root_letter: int):

@@ -1,112 +1,54 @@
-"""Kernel selection and whole-ball scan orchestration.
+"""The one tree walk over a whole Cayley ball.
 
-The compiled extension (``mdtds._kernel_cy``) is used when importable unless
-``MDTDS_PURE_PYTHON`` is set in the environment; the pure-Python twin is the
-fallback.  Both expose identical subtree contracts, and both walk subtrees in
-the same depth-first order, so results agree bit for bit.
+This is the brute-force oracle of the package: it applies a step to every
+word of the ball and sums per sphere.  Closed forms and recurrences (the
+``exact_sphere_sums`` hooks of the growth-rate and rotation models) are tested
+against it, and every family without such a hook is scanned by it.
 
-Whole-ball scans split the ball at the root: one subtree per signed letter
-(all words ending with that letter) plus the root itself at depth 0.  Subtree
-results are merged in letter order regardless of thread count, which keeps
-floating-point output identical at any parallelism level.
+The ball is split at the root: one subtree per signed letter (all words
+ending with that letter, walked by :mod:`mdtds._kernel_py`) plus the root
+itself at depth 0.  Subtree totals are folded in letter order, so the
+reduction tree is fixed and float sums are reproducible bit for bit.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
+from . import _kernel_py as _impl
 from .errors import ResourceLimitError
 from .words import DEFAULT_NODE_CAP, ball_size
 
-from . import _kernel_py
-
-if os.environ.get("MDTDS_PURE_PYTHON"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernel_py
-
 
 def kernel_backend() -> str:
-    """Name of the active traversal backend: ``cython`` or ``python``."""
-    return _impl.BACKEND
-
-
-def _check_cap(radius: int, n_gens: int, node_cap: int) -> None:
-    total = ball_size(radius, n_gens)
-    if total > node_cap:
-        raise ResourceLimitError(total, node_cap)
-
-
-def _run_subtrees(n_gens: int, threads: int, job: Callable[[int], list]):
-    """Run one job per signed letter, results in letter order."""
-    indices = range(2 * n_gens)
-    if threads <= 1:
-        return [job(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, indices))
-
-
-def scan_mult(n_gens: int, n_max: int, mults: Sequence[int], x0: int, *,
-              threads: int = 1, node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Per-depth ball sums for multiplicative integer steps; [0] is x0."""
-    _check_cap(n_max, n_gens, node_cap)
-    parts = _run_subtrees(
-        n_gens, threads,
-        lambda letter: _impl.subtree_scan_mult(n_gens, n_max, list(mults), x0, letter))
-    sums = [x0] + [0] * n_max
-    for part in parts:
-        for d in range(1, n_max + 1):
-            sums[d] += part[d]
-    return sums
-
-
-def scan_addmod(n_gens: int, n_max: int, steps: Sequence[int], modulus: int,
-                x0: int, *, threads: int = 1,
-                node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Per-depth ball sums for additive steps modulo ``modulus``; [0] is x0."""
-    _check_cap(n_max, n_gens, node_cap)
-    parts = _run_subtrees(
-        n_gens, threads,
-        lambda letter: _impl.subtree_scan_addmod(
-            n_gens, n_max, list(steps), modulus, x0, letter))
-    sums = [x0] + [0] * n_max
-    for part in parts:
-        for d in range(1, n_max + 1):
-            sums[d] += part[d]
-    return sums
+    """Name of the traversal backend; the walk is pure Python."""
+    return "python"
 
 
 def scan_object(n_gens: int, n_max: int, step: Callable, x0, *,
-                threads: int = 1, node_cap: int = DEFAULT_NODE_CAP) -> list:
+                node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Per-depth ball sums for an opaque step callable; [0] is x0.
 
-    Merging folds subtree totals left-to-right in letter order: the reduction
-    tree is fixed, so serial and threaded runs agree bit for bit even for
-    floats.  The step callable must be pure and reentrant.
+    ``step(value, letter_index)`` must be pure.  A depth with no words keeps
+    None.  Raises ResourceLimitError before walking when the ball has more
+    than ``node_cap`` words.
     """
-    _check_cap(n_max, n_gens, node_cap)
-    parts = _run_subtrees(
-        n_gens, threads,
-        lambda letter: _impl.subtree_scan_object(n_gens, n_max, step, x0, letter))
+    total = ball_size(n_max, n_gens)
+    if total > node_cap:
+        raise ResourceLimitError(total, node_cap)
     sums: list = [x0] + [None] * n_max
-    for part in parts:
+    for letter in range(2 * n_gens):
+        part = _impl.subtree_scan_object(n_gens, n_max, step, x0, letter)
         for d in range(1, n_max + 1):
-            if part[d] is None:
-                continue
             sums[d] = part[d] if sums[d] is None else sums[d] + part[d]
     return sums
 
 
-def traversal_sphere_counts(radius: int, n_gens: int, *, threads: int = 1,
+def traversal_sphere_counts(radius: int, n_gens: int, *,
                             node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Per-depth node counts obtained by actually walking the tree.
 
     Independent of the closed-form cardinalities: this is the brute-force
     side of the sphere/ball counting cross-check.
     """
-    return scan_mult(n_gens, radius, [1] * (2 * n_gens), 1,
-                     threads=threads, node_cap=node_cap)
+    return scan_object(n_gens, radius, lambda value, letter: value, 1,
+                       node_cap=node_cap)

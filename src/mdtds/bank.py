@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from .engine import Domain, MapFamily
-from .errors import WordSyntaxError
+from .errors import ResourceLimitError, WordSyntaxError
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
                         contained_in_fully_balanced, subgroup_ball)
 from .words import DEFAULT_NODE_CAP, Word
@@ -51,7 +51,7 @@ class BankFamily(MapFamily):
         return x * self.rates[gen - 1] ** power
 
     def _scaled_steps(self) -> tuple:
-        """Integer step multipliers for the scaled-integer kernel.
+        """Integer step multipliers for exact sphere sums without Fractions.
 
         With q_i = n_i/d_i and scale D = prod(n_i d_i), a value at depth k is
         stored as value * D^k: stepping by q_i^(+-1) then multiplies the
@@ -65,14 +65,34 @@ class BankFamily(MapFamily):
             steps.append(base * r.denominator * r.denominator)
         return scale, tuple(steps)
 
-    def exact_sphere_sums(self, x: Fraction, n_max: int, *, threads: int = 1,
+    def exact_sphere_sums(self, x: Fraction, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP) -> list:
-        """Per-sphere orbit sums via the integer kernel (hook for cesaro_scan)."""
+        """Per-sphere orbit sums by recurrence (hook for cesaro_scan).
+
+        The maps commute, so a word's value is x times its letters' rates in
+        any order.  With S_d[j] the sum over sphere-d words whose leading
+        letter is j and T_d = sum(S_d), prepending j to every word not led by
+        its inverse gives S_{d+1}[j] = m_j * (T_d - S_d[j^1]), m_j the rate
+        of letter j.  Sums are carried as scaled integers (see
+        ``_scaled_steps``) and divided once per sphere.  The work is 2k steps
+        per depth plus the root; ResourceLimitError is raised up front when
+        it exceeds ``node_cap``.
+        """
         scale, steps = self._scaled_steps()
-        raw = _kernels.scan_mult(self.n_gens, n_max, list(steps), x.numerator,
-                                 threads=threads, node_cap=node_cap)
-        den = x.denominator
-        return [Fraction(raw[k], den * scale ** k) for k in range(n_max + 1)]
+        work = 1 + len(steps) * n_max
+        if work > node_cap:
+            raise ResourceLimitError(work, node_cap)
+        raw = [x.numerator]
+        layer = [0] * len(steps)
+        for _ in range(n_max):
+            total = raw[-1]
+            layer = [m * (total - layer[j ^ 1]) for j, m in enumerate(steps)]
+            raw.append(sum(layer))
+        sums, den = [], x.denominator
+        for value in raw:
+            sums.append(Fraction(value, den))
+            den *= scale
+        return sums
 
 
 def evaluate_closed_form(rates: Sequence, word: Word, x) -> Fraction:
@@ -172,15 +192,22 @@ def ball_sum_product_formula(rates: Sequence, x, radius: int) -> Fraction:
 
 def ball_sum_brute(rates: Sequence, x, radius: int, *, threads: int = 1,
                    node_cap: int = DEFAULT_NODE_CAP) -> Fraction:
-    """True sum of orbit values over the ball, by tree traversal.
+    """True sum of orbit values over the ball, by walking every word.
 
-    Matches the accumulation in :func:`mdtds.cesaro.cesaro_scan` by
-    construction (same kernel).
+    An oracle independent of the recurrence behind
+    :func:`mdtds.cesaro.cesaro_scan`: the walk multiplies scaled integers
+    (see ``BankFamily._scaled_steps``) and divides once per sphere.
+    ``threads`` is accepted and has no effect.
     """
     family = BankFamily(rates)
     x = family.coerce_point(x)
-    sums = family.exact_sphere_sums(x, radius, threads=threads, node_cap=node_cap)
-    return sum(sums, Fraction(0))
+    scale, steps = family._scaled_steps()
+    raw = _kernels.scan_object(family.n_gens, radius,
+                               lambda value, letter: value * steps[letter],
+                               x.numerator, node_cap=node_cap)
+    den = x.denominator
+    return sum((Fraction(raw[k], den * scale ** k) for k in range(radius + 1)),
+               Fraction(0))
 
 
 def discrepancy_table(rates: Sequence, x, max_radius: int, *,

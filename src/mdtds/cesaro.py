@@ -1,10 +1,12 @@
 """Ball averages over growing radii, the sign study, and bound arithmetic.
 
-``cesaro_scan`` accumulates orbit values per sphere in a single traversal, so
-every mean C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from
-one pass.  Exact families sum in rationals; approximate families sum floats
-in a fixed reduction order (see :mod:`mdtds._kernels`), so output is
-bit-identical at any thread count.
+``cesaro_scan`` computes per-sphere orbit sums once, so every mean
+C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from one pass.
+A family with an ``exact_sphere_sums`` hook (the growth-rate and exact
+rotation models) supplies the sums by recurrence; every other family, and a
+hook that returns None, goes through the tree walk of :mod:`mdtds._kernels`.
+Exact families sum in rationals; approximate families sum floats in the
+walk's fixed reduction order, so output is reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -74,29 +76,34 @@ class CesaroReport:
 
 
 def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
-                        threads: int, node_cap: int) -> list:
+                        node_cap: int) -> list:
     def step(value, letter_index):
         return family.apply(value, letter_index // 2 + 1,
                             1 if letter_index % 2 == 0 else -1)
 
     sums = _kernels.scan_object(family.n_gens, n_max, step, x,
-                                threads=threads, node_cap=node_cap)
+                                node_cap=node_cap)
     zero = Fraction(0) if family.exact else 0.0
     return [zero if s is None else s for s in sums]
 
 
 def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
                 node_cap: int = DEFAULT_NODE_CAP) -> CesaroReport:
-    """Means of the orbit over balls V_0 .. V_n_max, one traversal total."""
+    """Means of the orbit over balls V_0 .. V_n_max, one pass total.
+
+    ``node_cap`` bounds the work: states visited on the recurrence paths,
+    words in the ball on the walk.  ``threads`` is accepted and has no
+    effect.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     x = family.coerce_point(x)
     sphere_sums = None
     scan_hook = getattr(family, "exact_sphere_sums", None)
     if scan_hook is not None:
-        sphere_sums = scan_hook(x, n_max, threads=threads, node_cap=node_cap)
+        sphere_sums = scan_hook(x, n_max, node_cap=node_cap)
     if sphere_sums is None:
-        sphere_sums = _object_sphere_sums(family, x, n_max, threads, node_cap)
+        sphere_sums = _object_sphere_sums(family, x, n_max, node_cap)
     rows = []
     running = sphere_sums[0] - sphere_sums[0]  # zero of the right type
     for n in range(n_max + 1):
@@ -128,10 +135,13 @@ def sign_ball_sum(radius: int, q: int) -> int:
 
 def sign_ball_sum_brute(radius: int, q: int, *, threads: int = 1,
                         node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Brute-force ball sum of (-1)^|t| by walking the tree."""
+    """Brute-force ball sum of (-1)^|t| by walking the tree.
+
+    ``threads`` is accepted and has no effect.
+    """
     n_gens = _check_even_q(q)
-    sums = _kernels.scan_mult(n_gens, radius, [-1] * q, 1,
-                              threads=threads, node_cap=node_cap)
+    sums = _kernels.scan_object(n_gens, radius, lambda value, letter: -value,
+                                1, node_cap=node_cap)
     return sum(sums)
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _kernels
 from .engine import Domain, MapFamily
-from .errors import WordSyntaxError
+from .errors import ResourceLimitError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
                         contained_in_fully_balanced, subgroup_ball)
@@ -55,23 +54,48 @@ class CircleFamily(MapFamily):
         self.apply_calls += 1
         return mod1(x + power * self.angles[gen - 1], self.tol)
 
-    def exact_sphere_sums(self, x: Fraction, n_max: int, *, threads: int = 1,
+    def exact_sphere_sums(self, x: Fraction, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP):
-        """Per-sphere orbit sums via the modular integer kernel (exact only)."""
+        """Per-sphere orbit sums from residue counts (hook for cesaro_scan).
+
+        Exact mode only; approximate families return None and are walked.
+        Every orbit value is a multiple of 1/M, M the common denominator of
+        the angles and x, so sphere words are counted by (leading letter,
+        residue mod M): prepending letter j to the words not led by its
+        inverse shifts their residues by j's step.  The work is the number of
+        (letter, residue) states over all depths plus the root, never more
+        than the ball size; ResourceLimitError is raised once it exceeds
+        ``node_cap``.
+        """
         if not self.exact:
             return None
         denom = x.denominator
         for a in self.angles:
-            denom = denom * a.denominator // math.gcd(denom, a.denominator)
+            denom = math.lcm(denom, a.denominator)
         steps = []
         for a in self.angles:
             step = a.numerator * (denom // a.denominator) % denom
-            steps.append(step)
-            steps.append((denom - step) % denom)
-        raw = _kernels.scan_addmod(self.n_gens, n_max, steps, denom,
-                                   x.numerator * (denom // x.denominator),
-                                   threads=threads, node_cap=node_cap)
-        return [Fraction(r, denom) for r in raw]
+            steps += [step, -step % denom]
+        sums = [x]
+        total = {x.numerator * (denom // x.denominator): 1}
+        layer = [{} for _ in steps]
+        work = 1
+        for _ in range(n_max):
+            led = []
+            for j, step in enumerate(steps):
+                avoid = layer[j ^ 1]
+                led.append({(r + step) % denom: n - avoid.get(r, 0)
+                            for r, n in total.items() if n != avoid.get(r, 0)})
+            layer = led
+            work += sum(map(len, layer))
+            if work > node_cap:
+                raise ResourceLimitError(work, node_cap)
+            total = {}
+            for counts in layer:
+                for r, n in counts.items():
+                    total[r] = total.get(r, 0) + n
+            sums.append(Fraction(sum(r * n for r, n in total.items()), denom))
+        return sums
 
 
 def rotation_of(family: CircleFamily, word: Word) -> Scalar:

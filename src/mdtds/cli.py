@@ -287,7 +287,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("cesaro", help="ball-average scan")
     p.add_argument("--nmax", type=int, required=True, help="largest radius")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     _add_common(p, model=True, point=True)
     p.set_defaults(func=cmd_cesaro)
 

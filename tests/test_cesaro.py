@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdtds import (BankFamily, BoundParams, CesaroReport, CircleFamily,
-                   WordSyntaxError, ball_enumerate, ball_size, cesaro_bounds,
-                   cesaro_scan, geometric_k_sum, identity_family,
-                   sign_ball_sum, sign_ball_sum_brute, sign_cesaro,
-                   sign_limits)
+                   ResourceLimitError, WordSyntaxError, ball_enumerate,
+                   ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
+                   geometric_k_sum, identity_family, sign_ball_sum,
+                   sign_ball_sum_brute, sign_cesaro, sign_limits)
 
 from conftest import random_fraction
 
@@ -66,6 +68,73 @@ class TestScan:
     def test_csv_round_trip(self):
         report = cesaro_scan(BankFamily([2, 3]), F(1), 3)
         assert CesaroReport.from_csv(report.to_csv()) == report
+
+
+def _walked(family):
+    """The same family with its sphere-sum hook hidden, so scans walk."""
+    family.exact_sphere_sums = lambda *a, **k: None
+    return family
+
+
+@st.composite
+def _scan_cases(draw, params):
+    """(1-3 model parameters, radius <= 7); radius <= 6 on 3 generators."""
+    values = draw(st.lists(params, min_size=1, max_size=3))
+    return values, draw(st.integers(0, 7 if len(values) < 3 else 6))
+
+
+# rates > 1, integer or not
+_rates = st.builds(lambda den, extra: F(den + extra, den),
+                   st.integers(1, 9), st.integers(1, 30))
+# positive angles with denominators up to 10^4
+_angles = st.builds(F, st.integers(1, 3 * 10 ** 4), st.integers(1, 10 ** 4))
+_deposits = st.builds(F, st.integers(1, 10 ** 3), st.integers(1, 10 ** 3))
+_circle_points = st.integers(1, 10 ** 4).flatmap(
+    lambda den: st.builds(F, st.integers(0, den - 1), st.just(den)))
+
+
+class TestExactSphereSums:
+    """The recurrence hooks against the tree walk, on random inputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_cases(_rates), _deposits)
+    def test_bank_recurrence_matches_walk(self, case, x):
+        rates, radius = case
+        report = cesaro_scan(BankFamily(rates), x, radius)
+        walked = cesaro_scan(_walked(BankFamily(rates)), x, radius)
+        assert report.rows == walked.rows
+        assert ball_sum_brute(rates, x, radius) == report.rows[-1].ball_sum
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_cases(_angles), _circle_points)
+    def test_circle_residue_counts_match_walk(self, case, x):
+        angles, radius = case
+        report = cesaro_scan(CircleFamily(angles), x, radius)
+        walked = cesaro_scan(_walked(CircleFamily(angles)), x, radius)
+        assert report.rows == walked.rows
+
+    def test_bank_cap_counts_recurrence_steps(self):
+        # 1 root + 4 letters * 200 depths; the ball itself has ~10^95 words
+        report = cesaro_scan(BankFamily([2, 3]), 1, 200)
+        assert report.rows[-1].ball_size == ball_size(200, 2)
+        cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=801)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=800)
+
+    def test_circle_cap_counts_residue_states(self):
+        family = CircleFamily([F(1, 5), F(1, 6)])  # common denominator 30
+        report = cesaro_scan(family, F(1, 3), 200)
+        assert len(report.rows) == 201
+        assert 0 <= report.final_mean < 1
+        # at most 4 letters * 30 residues per depth
+        cesaro_scan(family, F(1, 3), 200, node_cap=1 + 200 * 120)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, F(1, 3), 200, node_cap=1000)
+
+    def test_walk_keeps_the_ball_size_cap(self):
+        family = CircleFamily([0.2, 1 / 6], exact=False)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, 0.1, 200)
 
 
 class TestSignStudy:

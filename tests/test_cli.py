@@ -80,6 +80,12 @@ class TestCesaro:
                              "--x", "1", "--nmax", "6", "--threads", "8")
         assert base == threaded
 
+    def test_large_radius_runs_by_recurrence(self, capsys):
+        code, out, _ = run(capsys, "cesaro", "--model", "bank", "--q", "2,3",
+                           "--x", "1", "--nmax", "1000")
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("1000,")
+
 
 class TestVerdicts:
     def test_fixed_set_circle(self, capsys):
@@ -162,7 +168,8 @@ class TestExitCodes:
     def test_info(self, capsys):
         code, out, _ = run(capsys, "info")
         payload = json.loads(out)
-        assert code == 0 and payload["kernel_backend"] in ("cython", "python")
+        assert code == 0 and set(payload) == {"version", "kernel_backend"}
+        assert payload["kernel_backend"] == "python"
 
 
 class TestOutputFile:

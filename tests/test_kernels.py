@@ -1,101 +1,28 @@
-"""The two traversal backends must be interchangeable, bit for bit."""
+"""The one tree walk: root handling, the node cap, and per-sphere counts."""
 import pytest
 
 from mdtds import ResourceLimitError, _kernels
-from mdtds import _kernel_py
-
-try:
-    from mdtds import _kernel_cy
-except ImportError:
-    _kernel_cy = None
-
-needs_cy = pytest.mark.skipif(_kernel_cy is None,
-                              reason="compiled kernel not built")
 
 
-@needs_cy
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("n_gens,n_max", [(1, 8), (2, 7), (3, 5)])
-    def test_scan_mult(self, n_gens, n_max, rng):
-        for trial in range(5):
-            mults = [rng.randint(-9, 9) or 1 for _ in range(2 * n_gens)]
-            x0 = rng.randint(1, 100)
-            for letter in range(2 * n_gens):
-                a = _kernel_py.subtree_scan_mult(n_gens, n_max, mults, x0, letter)
-                b = _kernel_cy.subtree_scan_mult(n_gens, n_max, mults, x0, letter)
-                assert a == b
-
-    def test_scan_mult_huge_values_use_object_path(self):
-        mults = [10 ** 15, 3, 7, 2]
-        a = _kernel_py.subtree_scan_mult(2, 6, mults, 1, 0)
-        b = _kernel_cy.subtree_scan_mult(2, 6, mults, 1, 0)
-        assert a == b
-        assert a[6] > 2 ** 63  # really does overflow machine words
-
-    def test_scan_addmod(self, rng):
-        for trial in range(5):
-            modulus = rng.randint(2, 10 ** 6)
-            steps = [rng.randrange(modulus) for _ in range(4)]
-            x0 = rng.randrange(modulus)
-            for letter in range(4):
-                a = _kernel_py.subtree_scan_addmod(2, 7, steps, modulus, x0, letter)
-                b = _kernel_cy.subtree_scan_addmod(2, 7, steps, modulus, x0, letter)
-                assert a == b
-
-    def test_scan_addmod_huge_modulus(self):
-        modulus = 2 ** 70
-        steps = [1, modulus - 1, 17, modulus - 17]
-        a = _kernel_py.subtree_scan_addmod(2, 5, steps, modulus, 5, 2)
-        b = _kernel_cy.subtree_scan_addmod(2, 5, steps, modulus, 5, 2)
-        assert a == b
-
-    def test_scan_addmod_negative_start_agrees(self):
-        # out-of-range starting values must not hit the machine-int path,
-        # where C remainder semantics would differ from Python's; -150 + 1
-        # lands squarely in negative-remainder territory
-        for x0 in (-5, -150):
-            a = _kernel_py.subtree_scan_addmod(2, 5, [1, 96, 17, 80], 97, x0, 0)
-            b = _kernel_cy.subtree_scan_addmod(2, 5, [1, 96, 17, 80], 97, x0, 0)
-            assert a == b
-
-    def test_scan_mult_near_the_machine_word_boundary(self):
-        # straddle the static bound that picks the compiled integer path
-        for x0 in (2 ** 61 - 1, 2 ** 61, 2 ** 61 + 1, -(2 ** 61)):
-            a = _kernel_py.subtree_scan_mult(2, 3, [1, -1, 1, -1], x0, 0)
-            b = _kernel_cy.subtree_scan_mult(2, 3, [1, -1, 1, -1], x0, 0)
-            assert a == b
-
-    def test_scan_object_float_order_identical(self):
-        def step(value, letter):
-            return value * 0.9999 + (letter - 1.5) * 0.125
-
-        a = _kernel_py.subtree_scan_object(2, 6, step, 0.3, 1)
-        b = _kernel_cy.subtree_scan_object(2, 6, step, 0.3, 1)
-        assert a == b  # bitwise float equality
+def _count(value, letter):
+    return value
 
 
 class TestOrchestration:
     def test_full_scan_includes_root(self):
-        sums = _kernels.scan_mult(2, 3, [1, 1, 1, 1], 1)
+        sums = _kernels.scan_object(2, 3, _count, 1)
         assert sums == [1, 4, 12, 36]
 
-    def test_thread_fanout_matches_serial(self):
-        mults = [3, 2, 5, 7]
-        serial = _kernels.scan_mult(2, 8, mults, 2)
-        for threads in (2, 5, 8):
-            assert _kernels.scan_mult(2, 8, mults, 2, threads=threads) == serial
-
-    def test_object_scan_threaded_floats_bit_identical(self):
-        def step(value, letter):
-            return (value + 0.1 * (letter + 1)) % 1.0
-
-        serial = _kernels.scan_object(2, 7, step, 0.2)
-        threaded = _kernels.scan_object(2, 7, step, 0.2, threads=8)
-        assert serial == threaded
-
     def test_node_cap_enforced_up_front(self):
+        calls = []
+
+        def step(value, letter):
+            calls.append(letter)
+            return value
+
         with pytest.raises(ResourceLimitError):
-            _kernels.scan_mult(2, 10, [1, 1, 1, 1], 1, node_cap=1000)
+            _kernels.scan_object(2, 10, step, 1, node_cap=1000)
+        assert calls == []
 
     def test_sphere_counts_roundtrip(self):
         from mdtds import sphere_size
