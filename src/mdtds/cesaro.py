@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _kernels
-from .engine import MapFamily
-from .errors import WordSyntaxError
+from .engine import MapFamily, _orbit_walk
+from .errors import EvaluationError, WordSyntaxError
 from .scalars import Scalar, format_scalar, parse_scalar
 from .words import DEFAULT_NODE_CAP, ball_size
 
@@ -81,8 +81,16 @@ def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
         return family.apply(value, letter_index // 2 + 1,
                             1 if letter_index % 2 == 0 else -1)
 
-    sums = _kernels.scan_object(family.n_gens, n_max, step, x,
-                                node_cap=node_cap)
+    try:
+        sums = _kernels.scan_object(family.n_gens, n_max, step, x,
+                                    node_cap=node_cap)
+    except EvaluationError:
+        # the walk does not track words: the orbit walk over the same ball
+        # fails too, at the first failing word in enumeration order, and
+        # names it
+        for _ in _orbit_walk(family, x, n_max, node_cap, {}):
+            pass
+        raise
     zero = Fraction(0) if family.exact else 0.0
     return [zero if s is None else s for s in sums]
 

@@ -193,22 +193,35 @@ class OrbitBall:
         return self.values.items()
 
 
+def _orbit_walk(family: MapFamily, x: Scalar, radius: int, node_cap: int,
+                values: dict) -> Iterator[tuple]:
+    """Yield (word, orbit value) over V_radius in enumeration order, lazily.
+
+    One map application per tree edge: a child's value is its letter applied
+    to its parent's, read back from ``values``, where every yielded pair is
+    recorded.  An EvaluationError leaves with the failing word set.
+    """
+    for node in ball_enumerate(radius, family.n_gens, node_cap=node_cap):
+        if node.parent is None:
+            value = x
+        else:
+            try:
+                value = family.apply(values[node.parent], node.letter.gen,
+                                     node.letter.sign)
+            except EvaluationError as exc:
+                exc.word = node.word
+                raise
+        values[node.word] = value
+        yield node.word, value
+
+
 def orbit_ball(family: MapFamily, x: Scalar, radius: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> OrbitBall:
     """Evaluate the orbit over V_radius with one map application per edge."""
     x = family.coerce_point(x)
     values: dict = {}
-    try:
-        for node in ball_enumerate(radius, family.n_gens, node_cap=node_cap):
-            if node.parent is None:
-                values[node.word] = x
-            else:
-                letter = node.letter
-                values[node.word] = family.apply(
-                    values[node.parent], letter.gen, letter.sign)
-    except EvaluationError as exc:
-        exc.word = node.word
-        raise
+    for _ in _orbit_walk(family, x, radius, node_cap, values):
+        pass
     return OrbitBall(x, radius, values)
 
 
@@ -274,20 +287,31 @@ def _fixed_by(family: MapFamily, r: Word, value: Scalar):
         return family.values_equal(rhs, value), r_inv, rhs
 
 
+def _first_violation(family: MapFamily, members, t: Word,
+                     value: Scalar) -> Optional[Counterexample]:
+    """The first member r (in ``members`` order) with D_r(value) != value."""
+    for r in members:
+        holds, used, rhs = _fixed_by(family, r, value)
+        if not holds:
+            return Counterexample(t, used, value, rhs)
+    return None
+
+
 def is_h_fixed(family: MapFamily, spec: SubgroupSpec, x: Scalar, depth: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> PeriodicityVerdict:
-    """Check D_y(x) = x for every subgroup member in the ball of ``depth``."""
+    """Check D_y(x) = x for every subgroup member in the ball of ``depth``.
+
+    Members are streamed, so the check stops at the first violation without
+    enumerating the rest of the ball.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = family.coerce_point(x)
-    for node in ball_enumerate(depth, family.n_gens, node_cap=node_cap):
-        y = node.word
-        if y.is_identity or not spec.member(y):
-            continue
-        holds, used, rhs = _fixed_by(family, y, x)
-        if not holds:
-            return Counterexample(Word.identity(family.n_gens), used, x, rhs)
-    return VerifiedUpTo(0, depth)
+    members = (node.word for node in
+               ball_enumerate(depth, family.n_gens, node_cap=node_cap)
+               if not node.word.is_identity and spec.member(node.word))
+    return (_first_violation(family, members, Word.identity(family.n_gens), x)
+            or VerifiedUpTo(0, depth))
 
 
 def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
@@ -305,19 +329,10 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
     x = family.coerce_point(x)
     members = [w for w in subgroup_ball(spec, depth_r, node_cap=node_cap)
                if not w.is_identity]
-    values: dict = {}
-    for node in ball_enumerate(depth_t, family.n_gens, node_cap=node_cap):
-        t = node.word
-        if node.parent is None:
-            values[t] = x
-        else:
-            values[t] = family.apply(values[node.parent],
-                                     node.letter.gen, node.letter.sign)
-        lhs = values[t]
-        for r in members:
-            holds, used, rhs = _fixed_by(family, r, lhs)
-            if not holds:
-                return Counterexample(t, used, lhs, rhs)
+    for t, value in _orbit_walk(family, x, depth_t, node_cap, {}):
+        found = _first_violation(family, members, t, value)
+        if found is not None:
+            return found
     return VerifiedUpTo(depth_t, depth_r)
 
 
@@ -443,6 +458,8 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
     y = family.coerce_point(y)
     if abs(y - x_periodic) <= eps:
         return True
+    if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
+        raise WordSyntaxError("subgroup and family sizes differ")
     if isinstance(spec, CyclicSubgroup):
         seeds = [spec.generator_word, spec.generator_word.inverse()]
     else:
@@ -453,16 +470,11 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
         seeds += [w.inverse() for w in seeds if w.inverse() not in known]
     for seed in seeds:
         value = y
-        word = Word.identity(family.n_gens)
         try:
-            for _ in range(steps):
-                nxt = word * seed
-                if not word.is_prefix_of(nxt) or nxt == word:
-                    break
-                word = nxt
+            for _word in Ray(seed).words(steps):  # raises once a step cancels
                 value = evaluate(family, seed, value)
                 if abs(value - x_periodic) <= eps:
                     return True
-        except EvaluationError:
+        except (EvaluationError, WordSyntaxError):
             continue
     return False

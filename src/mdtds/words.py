@@ -54,15 +54,9 @@ def _reduce(runs) -> tuple:
     """Fold a run sequence into reduced form (merge/cancel at every seam)."""
     out: list = []
     for gen, exp in runs:
-        if exp == 0:
-            continue
         if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            if merged == 0:
-                out.pop()
-            else:
-                out[-1] = (gen, merged)
-        else:
+            exp += out.pop()[1]
+        if exp:
             out.append((gen, exp))
     return tuple(out)
 
@@ -178,21 +172,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         """Reduced concatenation (other written after self)."""
         self._check_group(other)
-        if not self.runs:
-            return other
-        if not other.runs:
-            return self
-        out = list(self.runs)
-        for gen, exp in other.runs:
-            if out and out[-1][0] == gen:
-                merged = out[-1][1] + exp
-                if merged == 0:
-                    out.pop()
-                else:
-                    out[-1] = (gen, merged)
-            else:
-                out.append((gen, exp))
-        return Word(self.n_gens, tuple(out))
+        return Word(self.n_gens, _reduce(self.runs + other.runs))
 
     def inverse(self) -> "Word":
         """Reverse the runs and negate exponents; an involution."""
@@ -200,10 +180,7 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        out = Word.identity(self.n_gens)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Word(self.n_gens, _reduce(base.runs * abs(n)))
 
     def prepend(self, letter: SignedLetter) -> "Word":
         """Multiply by a single letter on the left."""
@@ -369,15 +346,15 @@ def ball_decompose(radius: int, n_gens: int, *,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     root = Word.identity(n_gens)
+
+    def ray(base: Word, s: SignedLetter, count: int) -> tuple:
+        # base is e or ends in another generator, so one more run stays reduced
+        return tuple(Word(n_gens, base.runs + ((s.gen, s.sign * j),))
+                     for j in range(1, count + 1))
+
     comps = [BallComponent("identity", None, None, (root,))]
     for s in alphabet(n_gens):
-        base = Word.letter(n_gens, s.gen, s.sign)
-        ray = []
-        w = root
-        for _ in range(radius):
-            w = w * base
-            ray.append(w)
-        comps.append(BallComponent("axis_ray", None, s, tuple(ray)))
+        comps.append(BallComponent("axis_ray", None, s, ray(root, s, radius)))
     if radius == 1:
         return comps
     for node in ball_enumerate(radius - 1, n_gens, node_cap=node_cap):
@@ -387,13 +364,6 @@ def ball_decompose(radius: int, n_gens: int, *,
             continue
         last_gen = t.last_letter().gen
         for s in alphabet(n_gens):
-            if s.gen == last_gen:
-                continue
-            step = Word.letter(n_gens, s.gen, s.sign)
-            ray = []
-            w = t
-            for _ in range(radius - k):
-                w = w * step
-                ray.append(w)
-            comps.append(BallComponent("word_ray", t, s, tuple(ray)))
+            if s.gen != last_gen:
+                comps.append(BallComponent("word_ray", t, s, ray(t, s, radius - k)))
     return comps

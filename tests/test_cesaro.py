@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdtds import (BankFamily, BoundParams, CesaroReport, CircleFamily,
-                   ResourceLimitError, WordSyntaxError, ball_enumerate,
+                   DomainViolationError, ResourceLimitError, WordSyntaxError,
+                   affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
                    geometric_k_sum, identity_family, sign_ball_sum,
-                   sign_ball_sum_brute, sign_cesaro, sign_limits)
+                   orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
 
-from conftest import random_fraction
+from conftest import W, random_fraction
 
 
 class TestScan:
@@ -64,6 +65,15 @@ class TestScan:
         again = cesaro_scan(CircleFamily([0.41421356, 0.59], exact=False),
                             0.1, 6, threads=8).to_csv()
         assert base == again
+
+    def test_walk_error_names_the_word(self):
+        family = affine_and_square_family(exact=False)
+        with pytest.raises(DomainViolationError) as scan_error:
+            cesaro_scan(family, 0.5, 9)
+        assert scan_error.value.word == W("s1^-1 s2 s1^-2 s2 s1^4")
+        with pytest.raises(DomainViolationError) as orbit_error:
+            orbit_ball(family, 0.5, 9)
+        assert orbit_error.value.word == scan_error.value.word
 
     def test_csv_round_trip(self):
         report = cesaro_scan(BankFamily([2, 3]), F(1), 3)

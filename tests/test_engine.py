@@ -235,6 +235,12 @@ class TestHPeriodic:
             assert periodic.verified
             assert fixed.verified
 
+    def test_traversal_error_names_the_word(self, fam44, u_spec):
+        # s2^-1 needs sqrt(s1^3(1/3)) = sqrt(23/32), which is irrational
+        with pytest.raises(ExactnessError) as info:
+            is_h_periodic(fam44, u_spec, F(1, 3), 4, 1)
+        assert info.value.word == W("s2^-1 s1^3")
+
     def test_full_group_periodicity_equals_fixedness(self, fam44):
         verdict = is_h_periodic(fam44, FullGroup(2), F(1), 3, 3)
         assert isinstance(verdict, VerifiedUpTo)
@@ -329,6 +335,12 @@ class TestStableSet:
 
     def test_forward_ray_reaches_interior_fixed_point(self, fam44, u_spec):
         assert stable_set_check(fam44, u_spec, F(1, 3), F(9, 10), 12, F(1, 100))
+
+    def test_subgroup_of_another_group_rejected(self, fam44):
+        # rays that cannot be evaluated are skipped; a size mismatch is not
+        with pytest.raises(WordSyntaxError):
+            stable_set_check(fam44, CyclicSubgroup(W("s1", 1)), F(1), F(1, 2),
+                             5, F(1, 100))
 
     def test_finite_rotation_orbit_never_enters(self):
         family = CircleFamily([F(1, 2), F(1, 3)])

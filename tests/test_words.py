@@ -2,7 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mdtds import (ResourceLimitError, SignedLetter, Word, WordSyntaxError,
                    alphabet, ball_decompose, ball_enumerate, ball_size,
@@ -81,6 +82,25 @@ class TestGroupOps:
         assert u ** 0 == W("e")
         assert u ** 3 == W("s1 s2 s1 s2 s1 s2")
         assert u ** -2 == (u * u).inverse()
+
+    @given(words_strategy(max_len=6), st.integers(-6, 6))
+    @example(W("s1 s2 s1^-1"), 3)
+    @example(W("s1 s2 s1^-1"), -4)
+    @example(W("s2^-2 s1 s2^3"), 5)
+    def test_pow_equals_repeated_product(self, u, n):
+        base = u if n >= 0 else u.inverse()
+        product = Word.identity(2)
+        for _ in range(abs(n)):
+            product = product * base
+        assert u ** n == product
+        # independent of run merging: free reduction of the expanded letters
+        stack = []
+        for letter in list(base.letters()) * abs(n):
+            if stack and stack[-1] == letter.inverse():
+                stack.pop()
+            else:
+                stack.append(letter)
+        assert list((u ** n).letters()) == stack
 
 
 class TestLetters:
@@ -223,6 +243,39 @@ class TestDecomposition:
         for radius in range(1, 6):
             comps = ball_decompose(radius, 2)
             assert sum(len(c.words) for c in comps) == ball_size(radius, 2)
+
+    @pytest.mark.parametrize("n_gens,radius", [(2, 4), (3, 3)])
+    def test_ray_words_are_letter_powers(self, n_gens, radius):
+        for comp in ball_decompose(radius, n_gens):
+            if comp.kind == "identity":
+                continue
+            step = Word.letter(n_gens, comp.letter.gen, comp.letter.sign)
+            base = comp.base if comp.kind == "word_ray" else Word.identity(n_gens)
+            for j, word in enumerate(comp.words, start=1):
+                assert word == base * step ** j
+
+    def test_block_order_is_pinned(self):
+        word_rays = [
+            ("s1", "s2"), ("s1", "s2^-1"), ("s1^2", "s2"), ("s1^2", "s2^-1"),
+            ("s2 s1", "s2"), ("s2 s1", "s2^-1"),
+            ("s2^-1 s1", "s2"), ("s2^-1 s1", "s2^-1"),
+            ("s1^-1", "s2"), ("s1^-1", "s2^-1"), ("s1^-2", "s2"), ("s1^-2", "s2^-1"),
+            ("s2 s1^-1", "s2"), ("s2 s1^-1", "s2^-1"),
+            ("s2^-1 s1^-1", "s2"), ("s2^-1 s1^-1", "s2^-1"),
+            ("s2", "s1"), ("s2", "s1^-1"), ("s1 s2", "s1"), ("s1 s2", "s1^-1"),
+            ("s1^-1 s2", "s1"), ("s1^-1 s2", "s1^-1"),
+            ("s2^2", "s1"), ("s2^2", "s1^-1"), ("s2^-1", "s1"), ("s2^-1", "s1^-1"),
+            ("s1 s2^-1", "s1"), ("s1 s2^-1", "s1^-1"),
+            ("s1^-1 s2^-1", "s1"), ("s1^-1 s2^-1", "s1^-1"),
+            ("s2^-2", "s1"), ("s2^-2", "s1^-1"),
+        ]
+        expected = ([("identity", None, None)]
+                    + [("axis_ray", None, s) for s in ("s1", "s1^-1", "s2", "s2^-1")]
+                    + [("word_ray", base, s) for base, s in word_rays])
+        got = [(c.kind, None if c.base is None else str(c.base),
+                None if c.letter is None else str(c.letter))
+               for c in ball_decompose(3, 2)]
+        assert got == expected
 
     def test_word_ray_letters_avoid_final_generator(self):
         for comp in ball_decompose(4, 2):
