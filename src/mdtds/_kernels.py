@@ -28,9 +28,8 @@ def scan_object(n_gens: int, n_max: int, step: Callable, x0, *,
                 node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Per-depth ball sums for an opaque step callable; [0] is x0.
 
-    ``step(value, letter_index)`` must be pure.  A depth with no words keeps
-    None.  Raises ResourceLimitError before walking when the ball has more
-    than ``node_cap`` words.
+    ``step(value, letter_index)`` must be pure.  Raises ResourceLimitError
+    before walking when the ball has more than ``node_cap`` words.
     """
     total = ball_size(n_max, n_gens)
     if total > node_cap:

@@ -26,7 +26,7 @@ from . import _kernels
 from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
-                        contained_in_fully_balanced, subgroup_ball)
+                        _members, contained_in_fully_balanced)
 from .words import DEFAULT_NODE_CAP, Word
 
 
@@ -164,7 +164,7 @@ def classify_periodicity(rates: Sequence, spec: SubgroupSpec, search_depth: int,
         if mult == 1:
             return PeriodicityClass("all_positive_reals")
         return PeriodicityClass("empty", spec.generator_word, mult)
-    for member in subgroup_ball(spec, search_depth, node_cap=node_cap):
+    for member in _members(spec, search_depth, node_cap):
         mult = word_multiplier(rates, member)
         if mult != 1:
             return PeriodicityClass("empty", member, mult)

@@ -91,8 +91,7 @@ def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
         for _ in _orbit_walk(family, x, n_max, node_cap, {}):
             pass
         raise
-    zero = Fraction(0) if family.exact else 0.0
-    return [zero if s is None else s for s in sums]
+    return sums
 
 
 def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,

@@ -17,7 +17,7 @@ from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
-                        contained_in_fully_balanced, subgroup_ball)
+                        _members, contained_in_fully_balanced)
 from .words import DEFAULT_NODE_CAP, Word
 
 
@@ -192,7 +192,7 @@ def periodic_set(family: CircleFamily, spec: SubgroupSpec, search_depth: int,
         return PeriodicSetVerdict(
             "undecided", certified=False,
             note="generator rotation is integral at tolerance only")
-    for member in subgroup_ball(spec, search_depth, node_cap=node_cap):
+    for member in _members(spec, search_depth, node_cap):
         rot = rotation_of(family, member)
         if not _is_integer(family, rot):
             return PeriodicSetVerdict("empty", member, rot,

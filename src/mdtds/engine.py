@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainViolationError, EvaluationError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, exact_sqrt
-from .subgroups import CyclicSubgroup, SubgroupSpec, subgroup_ball
+from .subgroups import CyclicSubgroup, SubgroupSpec, _members
 from .words import DEFAULT_NODE_CAP, Word, ball_enumerate
 
 
@@ -304,13 +304,13 @@ def is_h_fixed(family: MapFamily, spec: SubgroupSpec, x: Scalar, depth: int, *,
     Members are streamed, so the check stops at the first violation without
     enumerating the rest of the ball.
     """
+    if spec.n_gens != family.n_gens:
+        raise WordSyntaxError("subgroup and family sizes differ")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = family.coerce_point(x)
-    members = (node.word for node in
-               ball_enumerate(depth, family.n_gens, node_cap=node_cap)
-               if not node.word.is_identity and spec.member(node.word))
-    return (_first_violation(family, members, Word.identity(family.n_gens), x)
+    return (_first_violation(family, _members(spec, depth, node_cap),
+                             Word.identity(family.n_gens), x)
             or VerifiedUpTo(0, depth))
 
 
@@ -324,11 +324,12 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
     (t, r) enumeration order is returned, which makes the counterexample
     deterministic.
     """
+    if spec.n_gens != family.n_gens:
+        raise WordSyntaxError("subgroup and family sizes differ")
     if depth_t < 1 or depth_r < 1:
         raise ValueError("depths must be >= 1")
     x = family.coerce_point(x)
-    members = [w for w in subgroup_ball(spec, depth_r, node_cap=node_cap)
-               if not w.is_identity]
+    members = list(_members(spec, depth_r, node_cap))
     for t, value in _orbit_walk(family, x, depth_t, node_cap, {}):
         found = _first_violation(family, members, t, value)
         if found is not None:
@@ -448,23 +449,23 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
     """Search increasing sequences inside H that carry y toward x_periodic.
 
     Rays are powers of subgroup members: for a cyclic subgroup, the defining
-    word and its inverse; otherwise members of a small subgroup ball.  True
-    means some sampled sequence entered the eps-ball of x_periodic within
-    ``steps``; False means not found at these bounds (never a proof of
-    absence).  Rays that stop increasing, or that cannot be evaluated in
-    exact mode, are skipped.
+    word and its inverse; otherwise the first ``max_rays`` members of
+    V_ray_depth and their inverses.  True means some sampled sequence entered
+    the eps-ball of x_periodic within ``steps``; False means not found at
+    these bounds (never a proof of absence).  Rays that stop increasing, or
+    that cannot be evaluated in exact mode, are skipped.
     """
+    if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
+        raise WordSyntaxError("subgroup and family sizes differ")
     x_periodic = family.coerce_point(x_periodic)
     y = family.coerce_point(y)
     if abs(y - x_periodic) <= eps:
         return True
-    if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
-        raise WordSyntaxError("subgroup and family sizes differ")
     if isinstance(spec, CyclicSubgroup):
         seeds = [spec.generator_word, spec.generator_word.inverse()]
     else:
-        seeds = [w for w in subgroup_ball(spec, ray_depth, node_cap=node_cap)
-                 if not w.is_identity][:max_rays]
+        seeds = list(itertools.islice(_members(spec, ray_depth, node_cap),
+                                      max_rays))
         # truncation may have cut a member's inverse out of the ball order
         known = set(seeds)
         seeds += [w.inverse() for w in seeds if w.inverse() not in known]

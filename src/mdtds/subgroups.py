@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import WordSyntaxError
 from .words import DEFAULT_NODE_CAP, Word, _reduce, ball_enumerate
@@ -110,14 +110,14 @@ class CyclicSubgroup(SubgroupSpec):
         self._check_group(word)
         if word.is_identity:
             return True
-        # |u^n| >= |n| for reduced u != e, so powers up to |word| suffice.
-        target_inv = word.inverse()
-        power = self.generator_word
-        while power.length <= word.length:
-            if power == word or power == target_inv:
-                return True
-            power = power * self.generator_word
-        return False
+        # u = c v c^-1 with v cyclically reduced, so |u^n| = |u| + (|n|-1)|v|
+        # for n != 0, where |v| = |u^2| - |u|: the length of word fixes |n|.
+        u = self.generator_word
+        steps, rest = divmod(word.length - u.length, (u ** 2).length - u.length)
+        if rest or steps < 0:
+            return False
+        power = u ** (steps + 1)
+        return word == power or word == power.inverse()
 
     def _index_info(self):
         if self.n_gens == 1:
@@ -262,12 +262,17 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
     return False
 
 
+def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
+    """Members other than e in V_radius, streamed in enumeration order."""
+    for node in ball_enumerate(radius, spec.n_gens, node_cap=node_cap):
+        if node.parent is not None and spec.member(node.word):
+            yield node.word
+
+
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,
                   node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Members of the subgroup within the ball V_radius, enumeration order."""
-    return [node.word for node in
-            ball_enumerate(radius, spec.n_gens, node_cap=node_cap)
-            if spec.member(node.word)]
+    return [Word.identity(spec.n_gens), *_members(spec, radius, node_cap)]
 
 
 def _parse_indices(text: str, n_gens: int, what: str) -> frozenset:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
-                   IntersectionSubgroup, KernelSubgroup,
+                   IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
                    WordSyntaxError, ball_sum_brute, ball_sum_product_formula,
                    cesaro_limit, classify_periodicity, discrepancy_table,
                    evaluate, subgroup_ball, word_multiplier)
@@ -104,6 +104,15 @@ class TestClassification:
                                      EvenCount(2, frozenset([2]))))
         result = classify_periodicity((4, 4), spec, 2)
         assert result.kind == "empty" and result.multiplier == 16
+
+    def test_witness_search_walks_only_up_to_the_witness(self):
+        # s1^2 is the third word enumerated; the rest of V_12 is never visited
+        result = classify_periodicity((2, 3), EvenCount(2, frozenset([1, 2])),
+                                      12, node_cap=1000)
+        assert result.kind == "empty" and result.witness == W("s1^2")
+        with pytest.raises(ResourceLimitError):  # ker:1,2 on 2 generators is {e}
+            classify_periodicity((2, 3), KernelSubgroup(2, frozenset([1, 2])),
+                                 12, node_cap=1000)
 
     def test_undecided_when_no_witness_in_ball(self):
         # erasing every generator keeps only the identity word: the scan

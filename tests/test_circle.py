@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from mdtds import (Balanced, CircleFamily, CyclicSubgroup, EvenCount,
-                   WordSyntaxError, density_check, evaluate, fixed_set,
+                   KernelSubgroup, ResourceLimitError, WordSyntaxError,
+                   density_check, evaluate, fixed_set,
                    fixed_point_residual, is_h_fixed, is_h_periodic, mod1,
                    periodic_set, rational_period_subgroup, rotation_of)
 from mdtds.circle import evaluate_closed_form
@@ -103,6 +104,17 @@ class TestPeriodicSet:
         # with fractional rotation in enumeration order is s2 s1
         assert verdict.witness == W("s2 s1")
         assert verdict.rotation == F(5, 6)
+
+    def test_witness_search_walks_only_up_to_the_witness(self):
+        # s1^2 is the third word enumerated; the rest of V_12 is never visited
+        family = CircleFamily([F(1, 3), F(1, 5)])
+        verdict = periodic_set(family, EvenCount(2, frozenset([1, 2])), 12,
+                               node_cap=1000)
+        assert verdict.kind == "empty" and verdict.witness == W("s1^2")
+        assert verdict.rotation == F(2, 3)
+        with pytest.raises(ResourceLimitError):  # ker:1,2 on 2 generators is {e}
+            periodic_set(family, KernelSubgroup(2, frozenset([1, 2])), 12,
+                         node_cap=1000)
 
     def test_approx_mode_cannot_certify_full(self):
         family = CircleFamily([0.5, 1.0 / 3.0], exact=False)

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from mdtds import (BankFamily, Balanced, CircleFamily, Counterexample,
-                   CyclicSubgroup, DomainViolationError, ExactnessError,
-                   FullGroup, Ray, SignedLetter, VerifiedUpTo, Word,
+                   CyclicSubgroup, DomainViolationError, EvenCount,
+                   ExactnessError, FullGroup, KernelSubgroup, Ray,
+                   ResourceLimitError, SignedLetter, VerifiedUpTo, Word,
                    WordSyntaxError, affine_and_square_family, evaluate,
                    fixed_point_residual, identity_family, is_fixed,
                    is_h_fixed, is_h_periodic, omega_sample, orbit_ball,
@@ -342,8 +343,31 @@ class TestStableSet:
             stable_set_check(fam44, CyclicSubgroup(W("s1", 1)), F(1), F(1, 2),
                              5, F(1, 100))
 
+    def test_ray_search_walks_only_up_to_its_rays(self):
+        # s1^2 (the third word enumerated) rotates 1/2 onto 0 in one step;
+        # the first max_rays members lie far inside the node cap
+        family = CircleFamily([F(1, 4), F(1, 3)])
+        assert stable_set_check(family, EvenCount(2, frozenset([1, 2])), F(0),
+                                F(1, 2), 1, F(1, 100), ray_depth=12,
+                                node_cap=1000)
+        with pytest.raises(ResourceLimitError):  # ker:1,2 on 2 generators is {e}
+            stable_set_check(family, KernelSubgroup(2, frozenset([1, 2])), F(0),
+                             F(1, 2), 1, F(1, 100), ray_depth=12, node_cap=1000)
+
     def test_finite_rotation_orbit_never_enters(self):
         family = CircleFamily([F(1, 2), F(1, 3)])
         spec = CyclicSubgroup(W("s1^2"))
         # the sampled orbit of 0.2 under integer rotations stays at 0.2
         assert not stable_set_check(family, spec, F(0), F(1, 5), 50, F(1, 10))
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda fam, spec: is_h_fixed(fam, spec, 1, 2),
+    lambda fam, spec: is_h_periodic(fam, spec, 1, 2, 2),
+    # y == x would return True before any ray is tried
+    lambda fam, spec: stable_set_check(fam, spec, 1, 1, 5, F(1, 100)),
+], ids=["is_h_fixed", "is_h_periodic", "stable_set_check"])
+def test_verdicts_reject_a_subgroup_of_another_group(verdict):
+    # ker:1,2 on 2 generators is {e}: no member would ever reach a map
+    with pytest.raises(WordSyntaxError):
+        verdict(BankFamily([2, 3, 5]), KernelSubgroup(2, frozenset([1, 2])))

@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdtds import (Balanced, CyclicSubgroup, EvenCount, FullGroup,
                    IntersectionSubgroup, KernelSubgroup, Word,
                    WordSyntaxError, ball_enumerate, parse_subgroup,
                    subgroup_ball)
 
-from conftest import W, random_word
+from conftest import W, random_word, words_strategy
 
 
 def all_specs(n_gens=2):
@@ -117,7 +119,50 @@ class TestCosets:
             assert not spec.member(w * rep2.inverse())
 
 
+@st.composite
+def _cyclic_cases(draw):
+    """(u, words to test): u is c v c^-1, a power of one letter, or any word."""
+    n_gens = draw(st.integers(1, 3))
+    v = draw(words_strategy(n_gens, 4).filter(lambda w: not w.is_identity))
+    c = draw(words_strategy(n_gens, 3))
+    k = draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+    u = draw(st.sampled_from([c * v * c.inverse(), v,
+                              Word.letter(n_gens, 1) ** k]))
+    radius = 5 if n_gens < 3 else 4
+    ball = [node.word for node in ball_enumerate(radius, n_gens)]
+    return u, ball + [u ** j for j in range(-4, 5)]
+
+
+class TestCyclicMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(_cyclic_cases())
+    def test_matches_brute_force_powers(self, case):
+        u, words = case
+        # |u^n| >= |n| for reduced u != e, so these powers cover every word
+        top = max(w.length for w in words)
+        powers = {u ** n for n in range(-top, top + 1)}
+        spec = CyclicSubgroup(u)
+        for w in words:
+            assert spec.member(w) == (w in powers), (u, w)
+
+
+def _every_family(n_gens):
+    return all_specs(n_gens) + [
+        KernelSubgroup(n_gens, frozenset([1, 2])),
+        CyclicSubgroup(Word.parse("s1 s2 s1^-1", n_gens)),
+        IntersectionSubgroup((Balanced.all_generators(n_gens),
+                              EvenCount(n_gens, frozenset([2])))),
+    ]
+
+
 class TestSubgroupBall:
+    @pytest.mark.parametrize("n_gens,radius", [(2, 5), (3, 3)])
+    def test_equals_the_member_filter_in_order(self, n_gens, radius):
+        for spec in _every_family(n_gens):
+            expected = [node.word for node in ball_enumerate(radius, n_gens)
+                        if spec.member(node.word)]
+            assert subgroup_ball(spec, radius) == expected, str(spec)
+
     def test_full_group(self):
         assert len(subgroup_ball(FullGroup(2), 1)) == 5
 
