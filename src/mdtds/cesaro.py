@@ -77,9 +77,13 @@ class CesaroReport:
 
 def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
                         node_cap: int) -> list:
+    apply = family.apply
+    letters = [(gen, sign) for gen in range(1, family.n_gens + 1)
+               for sign in (1, -1)]
+
     def step(value, letter_index):
-        return family.apply(value, letter_index // 2 + 1,
-                            1 if letter_index % 2 == 0 else -1)
+        gen, sign = letters[letter_index]
+        return apply(value, gen, sign)
 
     try:
         sums = _kernels.scan_object(family.n_gens, n_max, step, x,

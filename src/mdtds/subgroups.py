@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import WordSyntaxError
@@ -106,17 +107,22 @@ class CyclicSubgroup(SubgroupSpec):
     def n_gens(self) -> int:  # type: ignore[override]
         return self.generator_word.n_gens
 
+    @cached_property
+    def _lengths(self) -> tuple:
+        """(|u|, |v|) for u = c v c^-1 with v cyclically reduced."""
+        u = self.generator_word
+        return u.length, (u ** 2).length - u.length
+
     def member(self, word: Word) -> bool:
         self._check_group(word)
         if word.is_identity:
             return True
-        # u = c v c^-1 with v cyclically reduced, so |u^n| = |u| + (|n|-1)|v|
-        # for n != 0, where |v| = |u^2| - |u|: the length of word fixes |n|.
-        u = self.generator_word
-        steps, rest = divmod(word.length - u.length, (u ** 2).length - u.length)
+        # |u^n| = |u| + (|n|-1)|v| for n != 0, so the length of word fixes |n|
+        u_len, v_len = self._lengths
+        steps, rest = divmod(word.length - u_len, v_len)
         if rest or steps < 0:
             return False
-        power = u ** (steps + 1)
+        power = self.generator_word ** (steps + 1)
         return word == power or word == power.inverse()
 
     def _index_info(self):

@@ -145,6 +145,13 @@ class TestCyclicMembership:
         for w in words:
             assert spec.member(w) == (w in powers), (u, w)
 
+    def test_membership_leaves_equality_hash_and_repr(self):
+        u = W("s1 s2 s1^-1")
+        spec, fresh = CyclicSubgroup(u), CyclicSubgroup(u)
+        assert spec.member(W("s1 s2^3 s1^-1"))
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh) and str(spec) == str(fresh)
+
 
 def _every_family(n_gens):
     return all_specs(n_gens) + [
