@@ -2,11 +2,12 @@
 
 ``cesaro_scan`` computes per-sphere orbit sums once, so every mean
 C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from one pass.
-A family with an ``exact_sphere_sums`` hook (the growth-rate and exact
-rotation models) supplies the sums by recurrence; every other family, and a
-hook that returns None, goes through the tree walk of :mod:`mdtds._kernels`.
-Exact families sum in rationals; approximate families sum floats in the
-walk's fixed reduction order, so output is reproducible bit for bit.
+A family with an ``exact_sphere_sums`` hook (the growth-rate and rotation
+models) supplies the sums from exact counts by leading letter; every other
+family, and a hook that returns None, goes through the tree walk of
+:mod:`mdtds._kernels`.  Exact families sum in rationals.  Float rotations sum
+each sphere with ``math.fsum``; other float families sum in the walk's fixed
+reduction order.  Either way output is reproducible bit for bit.
 """
 from __future__ import annotations
 

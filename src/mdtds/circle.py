@@ -44,6 +44,8 @@ class CircleFamily(MapFamily):
             self.angles = tuple(Fraction(a) for a in angles)
         else:
             self.angles = tuple(float(a) for a in angles)
+            if not all(map(math.isfinite, self.angles)):
+                raise WordSyntaxError("angles must be finite")
         if any(a <= 0 for a in self.angles):
             raise WordSyntaxError("angles must be positive")
         super().__init__(len(self.angles),
@@ -54,48 +56,87 @@ class CircleFamily(MapFamily):
         self.apply_calls += 1
         return mod1(x + power * self.angles[gen - 1], self.tol)
 
-    def exact_sphere_sums(self, x: Fraction, n_max: int, *,
+    def exact_sphere_sums(self, x: Scalar, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP):
-        """Per-sphere orbit sums from residue counts (hook for cesaro_scan).
+        """Per-sphere orbit sums from exact word counts (hook for cesaro_scan).
 
-        Exact mode only; approximate families return None and are walked.
-        Every orbit value is a multiple of 1/M, M the common denominator of
-        the angles and x, so sphere words are counted by (leading letter,
-        residue mod M): prepending letter j to the words not led by its
-        inverse shifts their residues by j's step.  The work is the number of
-        (letter, residue) states over all depths plus the root, never more
-        than the ball size; ResourceLimitError is raised once it exceeds
-        ``node_cap``.
+        "Exact" refers to the word counts, not the arithmetic: a word's value
+        depends only on its exponent-sum vector, so sphere words are counted
+        by (leading letter, state) with prepending letter j to the words not
+        led by its inverse moving their state by j's step.  Exact angles use
+        the residue mod M of the orbit value, M the common denominator of the
+        angles and x, and sum each sphere in rationals.  Float angles use the
+        exponent vector itself; each sphere is ``math.fsum`` of count times
+        value, every distinct vector evaluated once as
+        mod1(x + sum of e_i theta_i), so the sums are reproducible bit for
+        bit and agree with the tree walk within rounding.  The work is the
+        number of (letter, state) pairs over all depths plus the root, never
+        more than the ball size; ResourceLimitError is raised once it
+        exceeds ``node_cap``.
         """
-        if not self.exact:
-            return None
-        denom = x.denominator
-        for a in self.angles:
-            denom = math.lcm(denom, a.denominator)
-        steps = []
-        for a in self.angles:
-            step = a.numerator * (denom // a.denominator) % denom
-            steps += [step, -step % denom]
-        sums = [x]
-        total = {x.numerator * (denom // x.denominator): 1}
-        layer = [{} for _ in steps]
-        work = 1
-        for _ in range(n_max):
-            led = []
-            for j, step in enumerate(steps):
-                avoid = layer[j ^ 1]
-                led.append({(r + step) % denom: n - avoid.get(r, 0)
-                            for r, n in total.items() if n != avoid.get(r, 0)})
-            layer = led
-            work += sum(map(len, layer))
-            if work > node_cap:
-                raise ResourceLimitError(work, node_cap)
-            total = {}
-            for counts in layer:
-                for r, n in counts.items():
-                    total[r] = total.get(r, 0) + n
-            sums.append(Fraction(sum(r * n for r, n in total.items()), denom))
-        return sums
+        if self.exact:
+            modulus = x.denominator
+            for a in self.angles:
+                modulus = math.lcm(modulus, a.denominator)
+            steps = []
+            for a in self.angles:
+                step = a.numerator * (modulus // a.denominator) % modulus
+                steps += [step, -step % modulus]
+            start = x.numerator * (modulus // x.denominator)
+
+            def sphere_sum(counts):
+                return Fraction(sum(r * n for r, n in counts.items()), modulus)
+        else:
+            # state = sum of (e_i + n_max) * base^(i-1) over the exponent
+            # vector e; |e_i| <= n_max, so the modulus base^k is never reached
+            base = 2 * n_max + 1
+            strides = [base ** i for i in range(self.n_gens)]
+            steps = [s for stride in strides for s in (stride, -stride)]
+            start, modulus = n_max * sum(strides), base ** self.n_gens
+            values: dict = {}
+
+            def value(code):
+                out = values.get(code)
+                if out is None:
+                    terms = [x] + [((code // stride) % base - n_max) * a
+                                   for stride, a in zip(strides, self.angles)]
+                    out = values[code] = mod1(math.fsum(terms), self.tol)
+                return out
+
+            def sphere_sum(counts):
+                return math.fsum([n * value(c) for c, n in counts.items()])
+        return [x] + [sphere_sum(counts) for counts in
+                      _sphere_counts(start, steps, modulus, n_max, node_cap)]
+
+
+def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,
+                   node_cap: int):
+    """Yield {state: number of sphere words} for depths 1 .. n_max.
+
+    The root is ``start``; letter j (``steps[j]``, with j ^ 1 its inverse)
+    moves a state to (state + steps[j]) % modulus.  The counts led by j at
+    depth d + 1 are the depth-d totals less the words led by j's inverse
+    (the non-backtracking recurrence).  ``node_cap`` bounds the (letter,
+    state) pairs visited, plus one for the root.
+    """
+    total = {start: 1}
+    layer = [{} for _ in steps]
+    work = 1
+    for _ in range(n_max):
+        led = []
+        for j, step in enumerate(steps):
+            avoid = layer[j ^ 1]
+            led.append({(r + step) % modulus: n - avoid.get(r, 0)
+                        for r, n in total.items() if n != avoid.get(r, 0)})
+        layer = led
+        work += sum(map(len, layer))
+        if work > node_cap:
+            raise ResourceLimitError(work, node_cap)
+        total = {}
+        for counts in layer:
+            for r, n in counts.items():
+                total[r] = total.get(r, 0) + n
+        yield total
 
 
 def rotation_of(family: CircleFamily, word: Word) -> Scalar:

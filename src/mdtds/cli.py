@@ -51,6 +51,23 @@ class _UsageError(MdtdsError):
     pass
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer option with a lower bound."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_NONNEGATIVE = _int_at_least(0)  # radii
+_POSITIVE = _int_at_least(1)  # search depths and generator counts
+
+
 def _build_family(args) -> MapFamily:
     model = args.model
     if model == "bank":
@@ -264,7 +281,7 @@ def _add_common(sub, *, model=False, point=False, fmt=False):
         sub.add_argument("--q", help="bank rates, e.g. 2,3 or 3/2,2")
         sub.add_argument("--theta",
                          help="circle angles, e.g. 1/2,1/3 or 0.41,0.59:approx")
-        sub.add_argument("--s", type=int, help="group size for --model identity")
+        sub.add_argument("--s", type=_POSITIVE, help="group size for --model identity")
     if point:
         sub.add_argument("--x", help="base point (rational, or float in approx mode)")
 
@@ -275,18 +292,18 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ball", help="enumerate a word ball")
-    p.add_argument("--s", type=int, required=True, help="number of generators")
-    p.add_argument("--n", type=int, required=True, help="ball radius")
+    p.add_argument("--s", type=_POSITIVE, required=True, help="number of generators")
+    p.add_argument("--n", type=_NONNEGATIVE, required=True, help="ball radius")
     _add_common(p, fmt=True)
     p.set_defaults(func=cmd_ball)
 
     p = subs.add_parser("orbit", help="orbit values over a ball")
-    p.add_argument("--n", type=int, required=True, help="ball radius")
+    p.add_argument("--n", type=_NONNEGATIVE, required=True, help="ball radius")
     _add_common(p, model=True, point=True)
     p.set_defaults(func=cmd_orbit)
 
     p = subs.add_parser("cesaro", help="ball-average scan")
-    p.add_argument("--nmax", type=int, required=True, help="largest radius")
+    p.add_argument("--nmax", type=_NONNEGATIVE, required=True, help="largest radius")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     _add_common(p, model=True, point=True)
@@ -294,16 +311,16 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("fixed", help="fixed-set or fixed-point verdicts")
     p.add_argument("--subgroup", help="subgroup spec text")
-    p.add_argument("--depth", type=int, default=4, help="subgroup ball radius")
+    p.add_argument("--depth", type=_POSITIVE, default=4, help="subgroup ball radius")
     _add_common(p, model=True, point=True)
     p.set_defaults(func=cmd_fixed)
 
     p = subs.add_parser("periodic", help="periodicity verdicts")
     p.add_argument("--subgroup", required=True, help="subgroup spec text")
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_POSITIVE, default=3,
                    help="search depth for set-level classification")
-    p.add_argument("--depth-t", type=int, default=4, dest="depth_t")
-    p.add_argument("--depth-r", type=int, default=4, dest="depth_r")
+    p.add_argument("--depth-t", type=_POSITIVE, default=4, dest="depth_t")
+    p.add_argument("--depth-r", type=_POSITIVE, default=4, dest="depth_r")
     _add_common(p, model=True, point=True)
     p.set_defaults(func=cmd_periodic)
 
@@ -311,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--item", default="all", choices=("all",) + repro.ITEM_IDS)
     p.add_argument("--q", help="rates/degree override where the item takes one")
     p.add_argument("--theta", help="angles override where the item takes one")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_POSITIVE, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_paper)
 

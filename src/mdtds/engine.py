@@ -19,6 +19,7 @@ Verification over the infinite group is impossible; the verdict types say
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -31,7 +32,10 @@ from .words import DEFAULT_NODE_CAP, Word, ball_enumerate
 
 @dataclass(frozen=True)
 class Domain:
-    """An interval of the reals; None bounds mean unbounded."""
+    """An interval of the reals; None bounds mean unbounded.
+
+    NaN and the infinities are not reals, so no domain contains them.
+    """
 
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
@@ -39,6 +43,8 @@ class Domain:
     upper_open: bool = False
 
     def contains(self, x: Scalar) -> bool:
+        if isinstance(x, float) and not math.isfinite(x):
+            return False
         if self.lower is not None:
             if x < self.lower or (self.lower_open and x == self.lower):
                 return False

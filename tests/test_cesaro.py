@@ -11,6 +11,8 @@ from mdtds import (BankFamily, BoundParams, CesaroReport, CircleFamily,
                    geometric_k_sum, identity_family, sign_ball_sum,
                    orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
 
+from mdtds.words import DEFAULT_NODE_CAP
+
 from conftest import W, random_fraction
 
 
@@ -142,9 +144,102 @@ class TestExactSphereSums:
             cesaro_scan(family, F(1, 3), 200, node_cap=1000)
 
     def test_walk_keeps_the_ball_size_cap(self):
-        family = CircleFamily([0.2, 1 / 6], exact=False)
+        family = affine_and_square_family(exact=False)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, 200)
+
+
+def _float_rows_close(report, walked):
+    """Per row, |sum - walked sum| <= 1e-9 (|walked sum| + |V_n|)."""
+    assert [row.radius for row in report.rows] == \
+        [row.radius for row in walked.rows]
+    for row, other in zip(report.rows, walked.rows):
+        assert row.ball_size == other.ball_size
+        tol = 1e-9 * (abs(other.ball_sum) + other.ball_size)
+        assert abs(row.ball_sum - other.ball_sum) <= tol
+
+
+def _vector_states(n_gens, radius):
+    """1 + the (depth, leading letter, exponent vector) triples of the ball,
+    found by enumerating its words: the work of a float circle scan."""
+    states = set()
+    for node in ball_enumerate(radius, n_gens):
+        runs = node.word.runs
+        if runs:
+            vector = [0] * n_gens
+            for gen, exp in runs:
+                vector[gen - 1] += exp
+            states.add((node.word.length, runs[0][0], runs[0][1] > 0,
+                        tuple(vector)))
+    return 1 + len(states)
+
+
+# (1-3 angles, radius <= 7, radius <= 5 on 3 generators)
+_float_cases = st.lists(
+    st.floats(1e-3, 3.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=3).flatmap(
+    lambda angles: st.tuples(st.just(angles),
+                             st.integers(0, 7 if len(angles) < 3 else 5)))
+
+
+@st.composite
+def _seam_cases(draw):
+    """Floats of p/q angles and a base point r/q: x + rotation hits integers."""
+    den = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(1, 3 * den), min_size=1, max_size=3))
+    radius = draw(st.integers(0, 7 if len(nums) < 3 else 5))
+    return ([F(p, den) for p in nums], F(draw(st.integers(0, den - 1)), den),
+            radius)
+
+
+class TestFloatRotationCounts:
+    """Float circle scans count words by exponent vector; the walk is the
+    oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_float_cases, st.floats(0, 1, exclude_max=True))
+    def test_vector_counts_match_walk(self, case, x):
+        angles, radius = case
+        report = cesaro_scan(CircleFamily(angles, exact=False), x, radius)
+        walked = cesaro_scan(_walked(CircleFamily(angles, exact=False)),
+                             x, radius)
+        _float_rows_close(report, walked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_seam_cases())
+    def test_orbits_through_the_seam_match_walk_and_exact(self, case):
+        angles, x, radius = case
+        floats = [float(a) for a in angles]
+        report = cesaro_scan(CircleFamily(floats, exact=False), float(x),
+                             radius)
+        walked = cesaro_scan(_walked(CircleFamily(floats, exact=False)),
+                             float(x), radius)
+        _float_rows_close(report, walked)
+        _float_rows_close(report, cesaro_scan(CircleFamily(angles), x, radius))
+
+    def test_radius_60_runs_and_repeats_bit_for_bit(self):
+        # the walk refuses this ball up front: it has ~10^28 words
+        assert ball_size(60, 2) > DEFAULT_NODE_CAP
+        family = CircleFamily([2 ** 0.5 - 1, 0.59], exact=False)
+        report = cesaro_scan(family, 0.1, 60)
+        assert all(0 <= row.mean < 1 for row in report.rows)
+        again = cesaro_scan(CircleFamily([2 ** 0.5 - 1, 0.59], exact=False),
+                            0.1, 60)
+        assert report.to_csv() == again.to_csv()
+
+    def test_cap_refuses_a_radius_200_scan(self):
+        family = CircleFamily([0.2, 1 / 6], exact=False)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, 0.1, 200, node_cap=10_000)
+
+    @pytest.mark.parametrize("n_gens, radius", [(1, 9), (2, 6), (3, 4)])
+    def test_cap_counts_vector_states(self, n_gens, radius):
+        family = CircleFamily([0.3, 2 ** 0.5, 0.7][:n_gens], exact=False)
+        work = _vector_states(n_gens, radius)
+        assert work <= ball_size(radius, n_gens)
+        cesaro_scan(family, 0.1, radius, node_cap=work)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, 0.1, radius, node_cap=work - 1)
 
 
 class TestSignStudy:

@@ -47,6 +47,11 @@ class TestEvaluation:
         with pytest.raises(WordSyntaxError):
             CircleFamily([F(1, 2), F(0)])
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+    def test_rejects_non_finite_float_angles(self, angle):
+        with pytest.raises(WordSyntaxError):
+            CircleFamily([angle, 0.6], exact=False)
+
 
 class TestRotation:
     def test_examples(self, family):

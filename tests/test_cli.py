@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mdtds.cli import main
 
 
@@ -164,6 +166,36 @@ class TestExitCodes:
         code, _, _ = run(capsys, "orbit", "--model", "bank", "--q", "2,3",
                          "--x", "-1", "--n", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("ball", "--s", "2", "--n", "-1"),
+        ("orbit", "--model", "bank", "--q", "2,3", "--x", "1", "--n", "-2"),
+        ("cesaro", "--model", "bank", "--q", "2,3", "--x", "1",
+         "--nmax", "-1"),
+        ("fixed", "--model", "bank", "--q", "2,3", "--x", "1",
+         "--subgroup", "even:1,2", "--depth", "-1"),
+        ("periodic", "--model", "bank", "--q", "2,3",
+         "--subgroup", "even:1,2", "--depth", "0"),
+        ("periodic", "--model", "bank", "--q", "2,3", "--x", "1",
+         "--subgroup", "even:1,2", "--depth-r", "0"),
+        ("paper", "--item", "ex3.9", "--nmax", "0"),
+        ("ball", "--s", "0", "--n", "1"),
+    ])
+    def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: argument --")
+
+    @pytest.mark.parametrize("theta, x, expected", [
+        ("0.4,0.6:approx", "nan", 3),
+        ("0.4,0.6:approx", "inf", 3),
+        ("nan,0.6:approx", "0.1", 1),
+        ("inf:approx", "0.1", 1),
+    ])
+    def test_non_finite_inputs(self, capsys, theta, x, expected):
+        code, _, err = run(capsys, "cesaro", "--model", "circle",
+                           "--theta", theta, "--x", x, "--nmax", "3")
+        assert code == expected and err.startswith("error: ")
 
     def test_info(self, capsys):
         code, out, _ = run(capsys, "info")

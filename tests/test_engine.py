@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from mdtds import (BankFamily, Balanced, CircleFamily, Counterexample,
-                   CyclicSubgroup, DomainViolationError, EvenCount,
+                   CyclicSubgroup, Domain, DomainViolationError, EvenCount,
                    ExactnessError, FullGroup, KernelSubgroup, Ray,
                    ResourceLimitError, SignedLetter, VerifiedUpTo, Word,
                    WordSyntaxError, affine_and_square_family, evaluate,
@@ -119,6 +119,17 @@ class TestMapFamilyContract:
             for _ in range(abs(k)):
                 stepped = family.apply(stepped, gen, 1 if k > 0 else -1)
             assert family.apply(x, gen, k) == stepped
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_no_domain_contains_a_non_finite_point(self, value):
+        assert not Domain().contains(value)
+        assert not Domain(F(0), F(1), upper_open=True).contains(value)
+        for family in (CircleFamily([0.3, 0.5], exact=False),
+                       affine_and_square_family(exact=False)):
+            with pytest.raises(DomainViolationError):
+                orbit_ball(family, value, 1)
 
 
 class TestOrbitBall:
