@@ -25,13 +25,14 @@ from typing import Optional, Sequence
 from . import _kernels
 from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
+from .scalars import to_rational
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
                         _members, contained_in_fully_balanced)
 from .words import DEFAULT_NODE_CAP, Word
 
 
 def _validate_rates(rates: Sequence) -> tuple:
-    out = tuple(Fraction(r) for r in rates)
+    out = tuple(to_rational(r, "rate") for r in rates)
     if not out:
         raise WordSyntaxError("need at least one rate")
     if any(r <= 1 for r in out):
@@ -48,7 +49,12 @@ class BankFamily(MapFamily):
 
     def apply(self, x: Fraction, gen: int, power: int) -> Fraction:
         self.apply_calls += 1
-        return x * self.rates[gen - 1] ** power
+        rate = self.rates[gen - 1]
+        if power == 1:
+            return x * rate
+        if power == -1:
+            return x / rate
+        return x * rate ** power
 
     def _scaled_steps(self) -> tuple:
         """Integer step multipliers for exact sphere sums without Fractions.

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
-from .scalars import DEFAULT_TOL, Scalar
+from .scalars import DEFAULT_TOL, Scalar, to_rational
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
                         _members, contained_in_fully_balanced)
 from .words import DEFAULT_NODE_CAP, Word
@@ -41,7 +41,7 @@ class CircleFamily(MapFamily):
         if not angles:
             raise WordSyntaxError("need at least one angle")
         if exact:
-            self.angles = tuple(Fraction(a) for a in angles)
+            self.angles = tuple(to_rational(a, "angle") for a in angles)
         else:
             self.angles = tuple(float(a) for a in angles)
             if not all(map(math.isfinite, self.angles)):
@@ -54,7 +54,12 @@ class CircleFamily(MapFamily):
 
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         self.apply_calls += 1
-        return mod1(x + power * self.angles[gen - 1], self.tol)
+        angle = self.angles[gen - 1]
+        if power == 1:
+            return mod1(x + angle, self.tol)
+        if power == -1:
+            return mod1(x - angle, self.tol)
+        return mod1(x + power * angle, self.tol)
 
     def exact_sphere_sums(self, x: Scalar, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP):

@@ -207,18 +207,19 @@ def _orbit_walk(family: MapFamily, x: Scalar, radius: int, node_cap: int,
     to its parent's, read back from ``values``, where every yielded pair is
     recorded.  An EvaluationError leaves with the failing word set.
     """
-    for node in ball_enumerate(radius, family.n_gens, node_cap=node_cap):
-        if node.parent is None:
+    apply = family.apply
+    for word, parent, letter in ball_enumerate(radius, family.n_gens,
+                                               node_cap=node_cap):
+        if parent is None:
             value = x
         else:
             try:
-                value = family.apply(values[node.parent], node.letter.gen,
-                                     node.letter.sign)
+                value = apply(values[parent], letter.gen, letter.sign)
             except EvaluationError as exc:
-                exc.word = node.word
+                exc.word = word
                 raise
-        values[node.word] = value
-        yield node.word, value
+        values[word] = value
+        yield word, value
 
 
 def orbit_ball(family: MapFamily, x: Scalar, radius: int, *,
@@ -328,7 +329,7 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
     Since D_{r t} = D_r o D_t, the check walks the orbit ball once and tests
     every orbit value against every subgroup member; the first failure in
     (t, r) enumeration order is returned, which makes the counterexample
-    deterministic.
+    deterministic.  An exact family tests each distinct orbit value once.
     """
     if spec.n_gens != family.n_gens:
         raise WordSyntaxError("subgroup and family sizes differ")
@@ -336,7 +337,14 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
         raise ValueError("depths must be >= 1")
     x = family.coerce_point(x)
     members = list(_members(spec, depth_r, node_cap))
+    # An exact value equal to one already checked passed the same checks, so
+    # the first counterexample in (t, r) order is unchanged by skipping it.
+    checked = set() if family.exact and members else None
     for t, value in _orbit_walk(family, x, depth_t, node_cap, {}):
+        if checked is not None:
+            if value in checked:
+                continue
+            checked.add(value)
         found = _first_violation(family, members, t, value)
         if found is not None:
             return found

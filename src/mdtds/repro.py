@@ -44,6 +44,8 @@ def _check(item: ReportItem, ok: bool, text: str) -> bool:
 def run_sign_study(q: int = 4, n_max: int = 12) -> ReportItem:
     """Alternating-sign ball sums: closed form vs traversal, and the
     non-convergent mean whose even/odd subsequences have opposite limits."""
+    if n_max < 1:  # the odd tail needs radius 1 and the gap two means
+        raise ValueError("n_max must be >= 1")
     item = ReportItem("ex3.9", "alternating-sign ball averages", True)
     even_limit, odd_limit = cesaro_mod.sign_limits(q)
     for n in range(n_max + 1):

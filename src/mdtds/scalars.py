@@ -25,6 +25,14 @@ def parse_rational(text: str) -> Fraction:
         raise WordSyntaxError(f"not a rational: {text!r}") from exc
 
 
+def to_rational(value, what: str) -> Fraction:
+    """``Fraction(value)``; NaN, the infinities and bad text are input errors."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise WordSyntaxError(f"{what} is not a finite rational: {value!r}") from exc
+
+
 def format_scalar(value: Scalar) -> str:
     """Rationals as ``p/q`` strings, floats as shortest round-trip decimals."""
     if isinstance(value, Fraction):

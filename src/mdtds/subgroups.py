@@ -270,9 +270,10 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
 
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     """Members other than e in V_radius, streamed in enumeration order."""
-    for node in ball_enumerate(radius, spec.n_gens, node_cap=node_cap):
-        if node.parent is not None and spec.member(node.word):
-            yield node.word
+    member = spec.member
+    for word, parent, _ in ball_enumerate(radius, spec.n_gens, node_cap=node_cap):
+        if parent is not None and member(word):
+            yield word
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,

@@ -12,8 +12,9 @@ set is the full ball ``V_n`` either way.
 """
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, WordSyntaxError
@@ -61,15 +62,68 @@ def _reduce(runs) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
+def _run_text(run: Run) -> str:
+    """``s<g>`` or ``s<g>^<e>``: one run as printed, cached across words."""
+    gen, exp = run
+    return f"s{gen}" if exp == 1 else f"s{gen}^{exp}"
+
+
 _TOKEN = re.compile(r"^s([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
-@dataclass(frozen=True)
-class Word:
-    """A reduced word; immutable and hashable.  Use the factory methods."""
+class _WordSlots:
+    """The storage of a Word, filled once when the word is made.
 
-    n_gens: int
-    runs: tuple
+    A fresh instance of this unguarded base gets its slots filled with plain
+    stores and only then becomes a Word, whose ``__setattr__`` refuses every
+    assignment; that is cheaper than routing each store past the guard.
+    ``Word.__new__`` and the child loop of ``ball_enumerate`` make words this
+    way; ``Word.length`` fills ``_length`` later if it was not given.
+    """
+
+    __slots__ = ("n_gens", "runs", "_length")
+
+
+_blank = object.__new__
+_set_length = _WordSlots._length.__set__
+
+
+class Word(_WordSlots):
+    """A reduced word; immutable and hashable.  Use the factory methods.
+
+    ``length`` is cached: given at construction by callers that know it
+    (the ball enumeration passes each word its depth), otherwise computed
+    on first use.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("n_gens", "runs")
+
+    def __new__(cls, n_gens: int, runs: tuple, length: Optional[int] = None):
+        self = _blank(_WordSlots)
+        self.n_gens = n_gens
+        self.runs = runs
+        self._length = length
+        self.__class__ = cls
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Word, (self.n_gens, self.runs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n_gens == other.n_gens and self.runs == other.runs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n_gens, self.runs))
 
     # -- construction -----------------------------------------------------
 
@@ -131,7 +185,11 @@ class Word:
     @property
     def length(self) -> int:
         """Geodesic length: sum of |exponent| over runs."""
-        return sum(abs(e) for _, e in self.runs)
+        length = self._length
+        if length is None:
+            length = sum(abs(e) for _, e in self.runs)
+            _set_length(self, length)
+        return length
 
     def letters(self) -> Iterator[SignedLetter]:
         """The fully expanded letter sequence, left to right."""
@@ -217,7 +275,7 @@ class Word:
     def __str__(self) -> str:
         if not self.runs:
             return "e"
-        return " ".join(f"s{g}" if e == 1 else f"s{g}^{e}" for g, e in self.runs)
+        return " ".join(map(_run_text, self.runs))
 
     def __repr__(self) -> str:
         return f"Word({self!s})"
@@ -290,24 +348,39 @@ def ball_enumerate(radius: int, n_gens: int, *,
     yield BallNode(root, None, None)
     if radius == 0:
         return
-    letters = alphabet(n_gens)
+    # per letter, in descending index order so that the stack pops children
+    # in ascending order: index, letter, generator, sign, one-letter runs
+    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),))
+             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
+    node, blank = tuple.__new__, _blank
+    stack = [node(BallNode, (Word(n_gens, run, 1), root, letter))
+             for _, letter, _, _, run in table]
     count = 1
-    # stack entries: (word, parent, letter, depth, blocked index)
-    stack = []
-    for letter in reversed(letters):
-        stack.append((root.prepend(letter), root, letter, 1, letter.index ^ 1))
     while stack:
-        word, parent, letter, depth, blocked = stack.pop()
+        entry = stack.pop()
         count += 1
         if count > node_cap:
             raise ResourceLimitError(count, node_cap)
-        yield BallNode(word, parent, letter)
+        yield entry
+        word = entry[0]
+        depth = word._length  # a child never cancels, so its length is its depth
         if depth < radius:
-            for li in range(2 * n_gens - 1, -1, -1):
+            runs = word.runs
+            head_gen, head_exp = runs[0]
+            blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
+            tail = runs[1:]
+            depth += 1
+            for li, letter, gen, sign, run in table:
                 if li != blocked:
-                    child_letter = letters[li]
-                    stack.append((word.prepend(child_letter), word,
-                                  child_letter, depth + 1, li ^ 1))
+                    # Word(n_gens, runs, depth) with the slots filled in place
+                    child = blank(_WordSlots)
+                    child.n_gens = n_gens
+                    # the letter merges into a leading run of its generator
+                    child.runs = (((gen, head_exp + sign),) + tail
+                                  if gen == head_gen else run + runs)
+                    child._length = depth
+                    child.__class__ = Word
+                    stack.append(node(BallNode, (child, word, letter)))
 
 
 def sphere_words(radius: int, n_gens: int, *,
@@ -346,14 +419,16 @@ def ball_decompose(radius: int, n_gens: int, *,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     root = Word.identity(n_gens)
+    letters = alphabet(n_gens)
 
     def ray(base: Word, s: SignedLetter, count: int) -> tuple:
         # base is e or ends in another generator, so one more run stays reduced
-        return tuple(Word(n_gens, base.runs + ((s.gen, s.sign * j),))
-                     for j in range(1, count + 1))
+        runs, length, gen, sign = base.runs, base.length, s.gen, s.sign
+        return tuple([Word(n_gens, runs + ((gen, sign * j),), length + j)
+                      for j in range(1, count + 1)])
 
     comps = [BallComponent("identity", None, None, (root,))]
-    for s in alphabet(n_gens):
+    for s in letters:
         comps.append(BallComponent("axis_ray", None, s, ray(root, s, radius)))
     if radius == 1:
         return comps
@@ -362,8 +437,8 @@ def ball_decompose(radius: int, n_gens: int, *,
         k = t.length
         if k == 0:
             continue
-        last_gen = t.last_letter().gen
-        for s in alphabet(n_gens):
+        last_gen = t.runs[-1][0]
+        for s in letters:
             if s.gen != last_gen:
                 comps.append(BallComponent("word_ray", t, s, ray(t, s, radius - k)))
     return comps

@@ -1,12 +1,16 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
                    IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
-                   WordSyntaxError, ball_sum_brute, ball_sum_product_formula,
-                   cesaro_limit, classify_periodicity, discrepancy_table,
-                   evaluate, subgroup_ball, word_multiplier)
+                   WordSyntaxError, ball_size, ball_sum_brute,
+                   ball_sum_product_formula, cesaro_limit,
+                   classify_periodicity, discrepancy_table, evaluate,
+                   orbit_ball, subgroup_ball, word_multiplier)
 from mdtds.bank import evaluate_closed_form
 
 from conftest import W, random_fraction, random_word
@@ -31,6 +35,29 @@ class TestEvaluation:
             BankFamily([1, 2])
         with pytest.raises(WordSyntaxError):
             evaluate_closed_form((2, 3), W("s1"), 0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"),
+                                      Decimal("NaN"), "x"])
+    def test_rejects_rates_that_are_not_finite_rationals(self, rate):
+        with pytest.raises(WordSyntaxError):
+            BankFamily([2, rate])
+
+    @given(st.lists(st.fractions(min_value=F(11, 10), max_value=8,
+                                 max_denominator=20), min_size=1, max_size=3),
+           st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50),
+           st.data())
+    def test_unit_powers_equal_the_generic_power(self, rates, x, data):
+        family = BankFamily(rates)
+        gen = data.draw(st.integers(1, len(rates)))
+        for power in (1, -1, 0, 2, -3):
+            got = family.apply(x, gen, power)
+            assert type(got) is F and got == x * family.rates[gen - 1] ** power
+        assert family.apply_calls == 5
+
+    def test_orbit_ball_applies_once_per_edge(self):
+        family = BankFamily([F(3, 2), 5, F(7, 3)])
+        orbit_ball(family, F(2, 3), 4)
+        assert family.apply_calls == ball_size(4, 3) - 1
 
     def test_closed_form_agrees_with_engine(self, rng):
         rates = (F(5, 4), F(7, 2))

@@ -2,12 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mdtds import (Balanced, CircleFamily, CyclicSubgroup, EvenCount,
                    KernelSubgroup, ResourceLimitError, WordSyntaxError,
-                   density_check, evaluate, fixed_set,
+                   ball_size, density_check, evaluate, fixed_set,
                    fixed_point_residual, is_h_fixed, is_h_periodic, mod1,
-                   periodic_set, rational_period_subgroup, rotation_of)
+                   orbit_ball, periodic_set, rational_period_subgroup,
+                   rotation_of)
 from mdtds.circle import evaluate_closed_form
 
 from conftest import W, random_fraction, random_word
@@ -51,6 +54,42 @@ class TestEvaluation:
     def test_rejects_non_finite_float_angles(self, angle):
         with pytest.raises(WordSyntaxError):
             CircleFamily([angle, 0.6], exact=False)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+    def test_rejects_non_finite_angles_in_exact_mode(self, angle):
+        with pytest.raises(WordSyntaxError):
+            CircleFamily([angle, F(3, 5)])
+
+    @given(st.lists(st.fractions(min_value=F(1, 30), max_value=3,
+                                 max_denominator=30), min_size=1, max_size=3),
+           st.fractions(min_value=0, max_value=F(29, 30), max_denominator=30),
+           st.data())
+    def test_exact_unit_powers_equal_the_generic_step(self, angles, x, data):
+        family = CircleFamily(angles)
+        gen = data.draw(st.integers(1, len(angles)))
+        angle = family.angles[gen - 1]
+        for power in (1, -1, 0, 2, -3):
+            got = family.apply(x, gen, power)
+            assert type(got) is F and got == mod1(x + power * angle)
+        assert family.apply_calls == 5
+
+    @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=3),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           st.data())
+    def test_float_unit_powers_are_bit_identical(self, angles, x, data):
+        family = CircleFamily(angles, exact=False)
+        gen = data.draw(st.integers(1, len(angles)))
+        angle = family.angles[gen - 1]
+        for power in (1, -1, 0, 2, -3):
+            got = family.apply(x, gen, power)
+            assert repr(got) == repr(mod1(x + power * angle, family.tol))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_orbit_ball_applies_once_per_edge(self, exact):
+        family = CircleFamily([F(1, 3), F(2, 7)] if exact else [1 / 3, 2 / 7],
+                              exact=exact)
+        orbit_ball(family, F(1, 5) if exact else 0.2, 5)
+        assert family.apply_calls == ball_size(5, 2) - 1
 
 
 class TestRotation:

@@ -138,6 +138,16 @@ class TestPaper:
                            "--nmax", "8")
         assert code == 0 and out.startswith("PASS")
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_sign_study_refuses_a_radius_below_one(self, n_max):
+        from mdtds import repro
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            repro.run_item("ex3.9", n_max=n_max)
+
+    def test_sign_study_at_radius_one(self):
+        from mdtds import repro
+        assert repro.run_item("ex3.9", n_max=1).passed
+
     def test_all_items_pass(self, capsys):
         code, out, _ = run(capsys, "paper")
         assert code == 0

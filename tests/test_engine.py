@@ -1,15 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mdtds import (BankFamily, Balanced, CircleFamily, Counterexample,
-                   CyclicSubgroup, Domain, DomainViolationError, EvenCount,
-                   ExactnessError, FullGroup, KernelSubgroup, Ray,
+from mdtds import (BankFamily, Balanced, CallableMapFamily, CircleFamily,
+                   Counterexample,
+                   CyclicSubgroup, Domain, DomainViolationError,
+                   EvaluationError, EvenCount, ExactnessError, FullGroup,
+                   KernelSubgroup, Ray,
                    ResourceLimitError, SignedLetter, VerifiedUpTo, Word,
-                   WordSyntaxError, affine_and_square_family, evaluate,
+                   WordSyntaxError, affine_and_square_family, ball_enumerate,
+                   ball_size, evaluate,
                    fixed_point_residual, identity_family, is_fixed,
                    is_h_fixed, is_h_periodic, omega_sample, orbit_ball,
-                   stable_set_check)
+                   parse_subgroup, stable_set_check, subgroup_ball)
 
 from conftest import W, random_fraction, random_word
 
@@ -290,6 +295,114 @@ class TestHPeriodic:
                     literal_ok = False
                     break
             assert verdict.verified == literal_ok
+
+
+def reference_h_periodic(family, spec, x, depth_t, depth_r):
+    """is_h_periodic by brute force: every t evaluated from scratch, every
+    (t, r) pair checked, no orbit value skipped.  Returns the verdict, or
+    the error type and the word it names."""
+    x = family.coerce_point(x)
+    members = subgroup_ball(spec, depth_r)[1:]
+    try:
+        for node in ball_enumerate(depth_t, family.n_gens):
+            t = node.word
+            value = evaluate(family, t, x)
+            for r in members:
+                try:
+                    used, rhs = r, evaluate(family, r, value)
+                except EvaluationError:
+                    used = r.inverse()
+                    rhs = evaluate(family, used, value)
+                if not family.values_equal(rhs, value):
+                    return Counterexample(t, used, value, rhs)
+    except EvaluationError as exc:
+        return type(exc), exc.word
+    return VerifiedUpTo(depth_t, depth_r)
+
+
+def library_h_periodic(family, spec, x, depth_t, depth_r):
+    try:
+        return is_h_periodic(family, spec, x, depth_t, depth_r)
+    except EvaluationError as exc:
+        return type(exc), exc.word
+
+
+SPECS = ["full", "cyclic:s1*s2", "cyclic:s1^2", "cyclic:s1*s2^-1", "bal:",
+         "bal:1", "even:1,2", "even:2", "ker:1,2", "and(even:1,2;bal:1)"]
+SMALL_DENOMINATOR_FRACTIONS = st.builds(F, st.integers(0, 12), st.integers(1, 6))
+
+
+def permutation_family(first, second):
+    """Two permutations of {0, 1/n, .., (n-1)/n}: exact maps whose orbits
+    repeat values and whose periodicity depends on the point."""
+    n = len(first)
+
+    def pair(perm):
+        forward = {F(i, n): F(j, n) for i, j in enumerate(perm)}
+        backward = {v: k for k, v in forward.items()}
+        return forward.__getitem__, backward.__getitem__
+
+    return CallableMapFamily([pair(first), pair(second)], Domain(F(0), F(1)))
+
+
+@st.composite
+def exact_families_and_points(draw):
+    kind = draw(st.sampled_from(["bank", "circle", "affine", "permutation"]))
+    if kind == "permutation":
+        first, second = draw(st.permutations(range(5))), draw(st.permutations(range(5)))
+        return permutation_family(first, second), F(draw(st.integers(0, 4)), 5)
+    if kind == "bank":
+        rates = draw(st.lists(st.sampled_from([F(2), F(3), F(3, 2), F(4), F(6)]),
+                              min_size=2, max_size=2))
+        x = draw(SMALL_DENOMINATOR_FRACTIONS.filter(lambda v: v > 0))
+        return BankFamily(rates), x
+    if kind == "circle":
+        angles = draw(st.lists(SMALL_DENOMINATOR_FRACTIONS.filter(lambda v: v > 0),
+                               min_size=2, max_size=2))
+        return CircleFamily(angles), draw(SMALL_DENOMINATOR_FRACTIONS) % 1
+    x = draw(st.sampled_from([F(0), F(1, 9), F(1, 4), F(1, 3), F(9, 16), F(1)]))
+    return affine_and_square_family(), x
+
+
+class TestDistinctValueSkipping:
+    """is_h_periodic checks each distinct exact orbit value once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_families_and_points(), st.sampled_from(SPECS),
+           st.integers(1, 4), st.integers(1, 4))
+    # s1 fixes 0 (so the s1^k repeat its value) but not s2's value 1/5
+    @example((permutation_family([0, 2, 1, 3, 4], [1, 0, 2, 3, 4]), F(0)),
+             "cyclic:s1", 3, 2)
+    def test_verdict_equals_the_unskipped_reference(self, family_and_point,
+                                                    spec_text, depth_t, depth_r):
+        family, x = family_and_point
+        spec = parse_subgroup(spec_text, 2)
+        got = library_h_periodic(family, spec, x, depth_t, depth_r)
+        want = reference_h_periodic(family, spec, x, depth_t, depth_r)
+        assert type(got) is type(want) and got == want
+        if isinstance(want, Counterexample):
+            assert type(got.lhs) is type(want.lhs) and type(got.rhs) is type(want.rhs)
+
+    def test_each_distinct_value_is_checked_once(self):
+        # rotations by 1/2 and 1/3 from 0: six distinct values in V_5
+        family = CircleFamily([F(1, 2), F(1, 3)])
+        spec = Balanced.all_generators(2)
+        members = subgroup_ball(spec, 5)[1:]
+        family.reset_counter()
+        assert is_h_periodic(family, spec, F(0), 5, 5) == VerifiedUpTo(5, 5)
+        walk = ball_size(5, 2) - 1
+        checks = 6 * sum(len(r.runs) for r in members)
+        assert family.apply_calls == walk + checks
+
+    def test_float_families_check_every_value(self):
+        family = CircleFamily([0.5, 0.25], exact=False)
+        spec = CyclicSubgroup(W("s1^2"))
+        members = subgroup_ball(spec, 2)[1:]
+        family.reset_counter()
+        # the orbit repeats values, but a float family checks every one
+        assert is_h_periodic(family, spec, 0.0, 3, 2) == VerifiedUpTo(3, 2)
+        checks = ball_size(3, 2) * sum(len(r.runs) for r in members)
+        assert family.apply_calls == ball_size(3, 2) - 1 + checks
 
 
 class TestOmega:

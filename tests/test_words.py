@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -281,3 +283,67 @@ class TestDecomposition:
         for comp in ball_decompose(4, 2):
             if comp.kind == "word_ray":
                 assert comp.letter.gen != comp.base.last_letter().gen
+
+
+class TestWordContract:
+    """A word is an immutable value: equality and hash on (n_gens, runs)."""
+
+    @pytest.mark.parametrize("attr", ["runs", "n_gens", "length", "extra"])
+    def test_assignment_raises(self, attr):
+        word = W("s1^2 s2^-1")
+        with pytest.raises(AttributeError):
+            setattr(word, attr, ())
+        with pytest.raises(AttributeError):
+            delattr(word, attr)
+        assert word.runs == ((1, 2), (2, -1)) and word.n_gens == 2
+
+    def test_equal_words_from_every_constructor_agree(self):
+        text = "s2 s1^2 s2^-1"
+        enumerated = [node.word for node in ball_enumerate(4, 2)
+                      if str(node.word) == text]
+        forms = [
+            parse_word(text, 2),
+            Word.from_runs(2, [(2, 1), (1, 3), (1, -1), (2, -1)]),
+            W("s2 s1") * W("s1 s2^-1"),
+            W("s1^2 s2^-1").prepend(SignedLetter(2, 1)),
+            *enumerated,
+        ]
+        assert len(enumerated) == 1
+        for form in forms:
+            assert form == forms[0] and hash(form) == hash(forms[0])
+            assert hash(form) == hash((2, ((2, 1), (1, 2), (2, -1))))
+        assert len(set(forms)) == 1
+        assert W("s1 s2") != W("s2 s1") and W("s1") != parse_word("s1", 3)
+
+    def test_never_equal_to_a_tuple(self):
+        word = W("s1 s2^-1")
+        for other in [(2, word.runs), word.runs, ((2, word.runs),)]:
+            assert word != other and other != word
+            assert word.__eq__(other) is NotImplemented
+        assert W("e") != () and W("e") != (2, ())
+
+    @pytest.mark.parametrize("text", ["e", "s1", "s2^-3 s1 s2^7"])
+    def test_pickle_and_copies_round_trip(self, text):
+        word = W(text)
+        for twin in (pickle.loads(pickle.dumps(word)), copy.copy(word),
+                     copy.deepcopy(word)):
+            assert type(twin) is Word and twin == word
+            assert hash(twin) == hash(word) and twin.length == word.length
+            with pytest.raises(AttributeError):
+                twin.runs = ()
+
+    def test_repr_and_str(self):
+        assert repr(W("e")) == "Word(e)"
+        assert repr(W("s1^2 s2^-1 s1")) == "Word(s1^2 s2^-1 s1)"
+        assert str(parse_word("s3^-12 s1^-1 s2", 3)) == "s3^-12 s1^-1 s2"
+
+    @given(st.integers(1, 3), st.data())
+    def test_enumerated_words_carry_their_length_and_match_prepend(self, n_gens, data):
+        radius = data.draw(st.integers(0, {1: 7, 2: 5, 3: 4}[n_gens]))
+        for node in ball_enumerate(radius, n_gens):
+            word = node.word
+            assert word.length == sum(abs(e) for _, e in word.runs)
+            if node.parent is not None:
+                child = node.parent.prepend(node.letter)
+                assert child == word and child.runs == word.runs
+                assert hash(child) == hash(word)
