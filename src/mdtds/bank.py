@@ -209,8 +209,8 @@ def ball_sum_brute(rates: Sequence, x, radius: int, *, threads: int = 1,
     x = family.coerce_point(x)
     scale, steps = family._scaled_steps()
     raw = _kernels.scan_object(family.n_gens, radius,
-                               lambda value, letter: value * steps[letter],
-                               x.numerator, node_cap=node_cap)
+                               [s.__mul__ for s in steps], x.numerator,
+                               node_cap=node_cap)
     den = x.denominator
     return sum((Fraction(raw[k], den * scale ** k) for k in range(radius + 1)),
                Fraction(0))

@@ -5,14 +5,19 @@ C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from one pass.
 A family with an ``exact_sphere_sums`` hook (the growth-rate and rotation
 models) supplies the sums from exact counts by leading letter; every other
 family, and a hook that returns None, goes through the tree walk of
-:mod:`mdtds._kernels`.  Exact families sum in rationals.  Float rotations sum
-each sphere with ``math.fsum``; other float families sum in the walk's fixed
-reduction order.  Either way output is reproducible bit for bit.
+:mod:`mdtds._kernels` with the family's ``letter_maps()``: one unary map per
+signed letter, called once per non-root word of the ball, each call counted
+in ``apply_calls``.  Exact families sum in rationals.  Float rotations sum
+each sphere with ``math.fsum``; other float families sum each sphere in
+depth-first preorder, the walk's fixed reduction order.  Either way output
+is reproducible bit for bit.  The sign study walks from the int 1 with
+``operator.neg`` as every letter's map, so its sums are exact int sums.
 """
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -78,17 +83,9 @@ class CesaroReport:
 
 def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
                         node_cap: int) -> list:
-    apply = family.apply
-    letters = [(gen, sign) for gen in range(1, family.n_gens + 1)
-               for sign in (1, -1)]
-
-    def step(value, letter_index):
-        gen, sign = letters[letter_index]
-        return apply(value, gen, sign)
-
     try:
-        sums = _kernels.scan_object(family.n_gens, n_max, step, x,
-                                    node_cap=node_cap)
+        sums = _kernels.scan_object(family.n_gens, n_max, family.letter_maps(),
+                                    x, node_cap=node_cap)
     except EvaluationError:
         # the walk does not track words: the orbit walk over the same ball
         # fails too, at the first failing word in enumeration order, and
@@ -152,8 +149,8 @@ def sign_ball_sum_brute(radius: int, q: int, *, threads: int = 1,
     ``threads`` is accepted and has no effect.
     """
     n_gens = _check_even_q(q)
-    sums = _kernels.scan_object(n_gens, radius, lambda value, letter: -value,
-                                1, node_cap=node_cap)
+    sums = _kernels.scan_object(n_gens, radius, [operator.neg] * q, 1,
+                                node_cap=node_cap)
     return sum(sums)
 
 

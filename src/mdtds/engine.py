@@ -70,9 +70,13 @@ class MapFamily:
     Subclasses implement ``apply(x, gen, power)`` meaning the ``power``-th
     iterate (negative powers use the closed-form inverse).  ``exact`` families
     work on Fractions and compare by equality; approximate families work on
-    floats and compare within ``tol``.  ``apply_calls`` counts invocations of
-    ``apply`` (an instrumentation hook for the one-application-per-edge
-    orbit invariant; not thread-safe).
+    floats and compare within ``tol``.  ``letter_maps()`` gives the same
+    maps at powers +1 and -1 as 2k unary callables, the ones the ball walk
+    calls once per word; a subclass may override it with tighter closures
+    that return what ``apply`` returns and raise what it raises.
+    ``apply_calls`` counts map applications, through ``apply`` and through
+    ``letter_maps()`` alike (an instrumentation hook for the
+    one-application-per-edge orbit invariant; not thread-safe).
     """
 
     def __init__(self, n_gens: int, domain: Domain, exact: bool = True,
@@ -87,6 +91,16 @@ class MapFamily:
 
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         raise NotImplementedError
+
+    def letter_maps(self) -> list:
+        """Unary maps per signed letter: ``[f_1, f_1^-1, f_2, f_2^-1, ...]``.
+
+        Entry ``2*(gen-1) + (0 if sign > 0 else 1)`` maps ``v`` to
+        ``apply(v, gen, sign)``.
+        """
+        apply = self.apply
+        return [lambda value, gen=gen, sign=sign: apply(value, gen, sign)
+                for gen in range(1, self.n_gens + 1) for sign in (1, -1)]
 
     def reset_counter(self) -> None:
         self.apply_calls = 0
@@ -132,6 +146,24 @@ class CallableMapFamily(MapFamily):
             if not self.domain.contains(value):
                 raise DomainViolationError(value)
         return value
+
+    def letter_maps(self) -> list:
+        """Per-letter maps doing what ``apply`` does at power +1 or -1.
+
+        Each counts one application, calls its map once and checks the
+        domain, without ``apply``'s dispatch on generator and power.
+        """
+        contains = self.domain.contains
+
+        def unit(fn):
+            def step(value):
+                self.apply_calls += 1
+                value = fn(value)
+                if not contains(value):
+                    raise DomainViolationError(value)
+                return value
+            return step
+        return [unit(fn) for pair in self._pairs for fn in pair]
 
 
 def identity_family(n_gens: int = 1) -> CallableMapFamily:

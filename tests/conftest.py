@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -40,6 +42,32 @@ def words_strategy(n_gens: int = 2, max_len: int = 8):
         return word
 
     return letter_lists.map(build)
+
+
+def preorder_spheres(n_gens, n_max, step, x0):
+    """Per-sphere value lists of each root subtree, by recursive preorder."""
+    def visit(depth, value, last, spheres):
+        spheres[depth].append(value)
+        if depth < n_max:
+            for letter in range(2 * n_gens):
+                if letter != last ^ 1:
+                    visit(depth + 1, step(value, letter), letter, spheres)
+
+    parts = []
+    for root in range(2 * n_gens):
+        spheres = [[] for _ in range(n_max + 1)]
+        visit(1, step(x0, root), root, spheres)
+        parts.append(spheres)
+    return parts
+
+
+def fold_spheres(parts, x0, order):
+    """Ball sums: each subtree's spheres in ``order``, subtrees by letter."""
+    sums = [x0]
+    for depth in range(1, len(parts[0])):
+        totals = [reduce(add, order(spheres[depth])) for spheres in parts]
+        sums.append(reduce(add, totals))
+    return sums
 
 
 @pytest.fixture

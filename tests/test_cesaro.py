@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdtds import (BankFamily, BoundParams, CesaroReport, CircleFamily,
-                   DomainViolationError, ResourceLimitError, WordSyntaxError,
+from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
+                   CircleFamily, Domain, DomainViolationError,
+                   ResourceLimitError, WordSyntaxError, _kernel_py,
                    affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
                    geometric_k_sum, identity_family, sign_ball_sum,
@@ -13,7 +15,7 @@ from mdtds import (BankFamily, BoundParams, CesaroReport, CircleFamily,
 
 from mdtds.words import DEFAULT_NODE_CAP
 
-from conftest import W, random_fraction
+from conftest import W, fold_spheres, preorder_spheres, random_fraction
 
 
 class TestScan:
@@ -240,6 +242,43 @@ class TestFloatRotationCounts:
         cesaro_scan(family, 0.1, radius, node_cap=work)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, radius, node_cap=work - 1)
+
+
+def _line_pairs(rates):
+    return [((lambda v, a=a: v * a), (lambda v, a=a: v / a)) for a in rates]
+
+
+_SQUARE_PAIRS = [(lambda v: 0.75 * v + 0.25, lambda v: (v - 0.25) / 0.75),
+                 (lambda v: v * v, math.sqrt)]
+
+
+class TestFloatWalkScans:
+    """Float families without a hook: cesaro_scan against a preorder walk."""
+
+    @pytest.mark.parametrize("frontier", [1024, 5])
+    @pytest.mark.parametrize("pairs,domain,x,radius", [
+        (_SQUARE_PAIRS, Domain(F(0), F(1)), 0.99, 6),
+        (_line_pairs([1.25, 1.75]), Domain(), 2.25, 7),
+        (_line_pairs([1.375, 2.0, 1.125]), Domain(), 0.75, 5),
+    ])
+    def test_sums_match_a_preorder_walk_bit_for_bit(self, monkeypatch,
+                                                    frontier, pairs, domain,
+                                                    x, radius):
+        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        family = CallableMapFamily(pairs, domain, exact=False)
+        report = cesaro_scan(family, x, radius)
+        assert family.apply_calls == ball_size(radius, family.n_gens) - 1
+
+        def step(value, letter):
+            return pairs[letter // 2][letter % 2](value)
+
+        spheres = fold_spheres(
+            preorder_spheres(family.n_gens, radius, step, x), x, list)
+        running, expected = x - x, []
+        for total in spheres:
+            running = running + total
+            expected.append(repr(running))
+        assert [repr(row.ball_sum) for row in report.rows] == expected
 
 
 class TestSignStudy:

@@ -137,6 +137,78 @@ class TestMapFamilyContract:
                 orbit_ball(family, value, 1)
 
 
+# every family of the package, with the points its maps take
+_exact_unit = st.integers(1, 12).flatmap(
+    lambda den: st.builds(F, st.integers(0, den), st.just(den)))
+_exact_circle = st.integers(1, 12).flatmap(
+    lambda den: st.builds(F, st.integers(0, den - 1), st.just(den)))
+_rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+_positive = st.builds(F, st.integers(1, 50), st.integers(1, 50))
+_LINE_PAIRS = [(lambda v: 2 * v + 1, lambda v: (v - 1) / 2),
+               (lambda v: -v, lambda v: -v)]
+LETTER_MAP_FAMILIES = {
+    "callable exact": (lambda: CallableMapFamily(_LINE_PAIRS, Domain()),
+                       _rationals),
+    # large or non-finite points leave the domain through inf and nan
+    "callable float": (lambda: CallableMapFamily(_LINE_PAIRS, Domain(),
+                                                 exact=False), st.floats()),
+    "affine/square exact": (affine_and_square_family, _exact_unit),
+    "affine/square float": (lambda: affine_and_square_family(exact=False),
+                            st.floats(0, 1)),
+    "identity": (lambda: identity_family(2), _rationals),
+    "bank": (lambda: BankFamily([F(3, 2), 4, F(7, 5)]), _positive),
+    "circle exact": (lambda: CircleFamily([F(1, 3), F(2, 7)]), _exact_circle),
+    "circle float": (lambda: CircleFamily([0.3, 0.7], exact=False),
+                     st.floats(0, 1, exclude_max=True)),
+}
+
+
+@st.composite
+def letter_map_cases(draw):
+    kind = draw(st.sampled_from(sorted(LETTER_MAP_FAMILIES)))
+    make, points = LETTER_MAP_FAMILIES[kind]
+    family = make()
+    return kind, draw(points), draw(st.integers(0, 2 * family.n_gens - 1))
+
+
+def _outcome(call):
+    try:
+        value = call()
+    except Exception as exc:  # the exception's type and text are compared
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+class TestLetterMaps:
+    """``letter_maps()[i](v)`` against ``apply(v, gen, sign)``, family by family."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(letter_map_cases())
+    @example(("affine/square exact", F(1, 8), 1))  # DomainViolationError
+    @example(("affine/square exact", F(1, 2), 3))  # ExactnessError
+    @example(("affine/square float", 0.125, 1))
+    @example(("callable float", 1e308, 0))
+    def test_each_map_is_apply_at_a_unit_power(self, case):
+        kind, x, letter = case
+        family = LETTER_MAP_FAMILIES[kind][0]()
+        maps = family.letter_maps()
+        assert len(maps) == 2 * family.n_gens
+        gen, sign = letter // 2 + 1, -1 if letter % 2 else 1
+        expected = _outcome(lambda: family.apply(x, gen, sign))
+        assert family.apply_calls == 1
+        assert _outcome(lambda: maps[letter](x)) == expected
+        assert family.apply_calls == 2
+
+    def test_examples_reach_both_evaluation_errors(self):
+        family = affine_and_square_family()
+        maps = family.letter_maps()
+        with pytest.raises(DomainViolationError):
+            maps[1](F(1, 8))
+        with pytest.raises(ExactnessError):
+            maps[3](F(1, 2))
+        assert family.apply_calls == 2
+
+
 class TestOrbitBall:
     def test_radius_zero(self):
         ball = orbit_ball(identity_family(2), F(7), 0)

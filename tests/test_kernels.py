@@ -1,21 +1,32 @@
 """The one tree walk: root handling, the node cap, and per-sphere counts."""
+import math
 import tracemalloc
+from fractions import Fraction as F
 from functools import reduce
 from operator import add
 
 import pytest
 
-from mdtds import (DomainViolationError, ResourceLimitError, _kernel_py,
-                   _kernels, ball_size, sign_ball_sum, sign_ball_sum_brute)
+from mdtds import (BankFamily, DomainViolationError, ResourceLimitError,
+                   _kernel_py, _kernels, ball_size, ball_sum_brute,
+                   sign_ball_sum, sign_ball_sum_brute)
+
+from conftest import fold_spheres, preorder_spheres
 
 
 def _count(value, letter):
     return value
 
 
+def _per_letter(n_gens, step):
+    """The walk's per-letter unary maps for a binary ``step(value, letter)``."""
+    return [lambda value, letter=letter: step(value, letter)
+            for letter in range(2 * n_gens)]
+
+
 class TestOrchestration:
     def test_full_scan_includes_root(self):
-        sums = _kernels.scan_object(2, 3, _count, 1)
+        sums = _kernels.scan_object(2, 3, _per_letter(2, _count), 1)
         assert sums == [1, 4, 12, 36]
 
     def test_node_cap_enforced_up_front(self):
@@ -26,8 +37,13 @@ class TestOrchestration:
             return value
 
         with pytest.raises(ResourceLimitError):
-            _kernels.scan_object(2, 10, step, 1, node_cap=1000)
+            _kernels.scan_object(2, 10, _per_letter(2, step), 1,
+                                  node_cap=1000)
         assert calls == []
+
+    def test_rejects_a_map_list_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            _kernels.scan_object(2, 3, _per_letter(1, _count), 1)
 
     def test_sphere_counts_roundtrip(self):
         from mdtds import sphere_size
@@ -45,32 +61,6 @@ def _affine(value, letter):
     return value * _SCALE[letter] + _SHIFT[letter]
 
 
-def _preorder_spheres(n_gens, n_max, step, x0):
-    """Per-sphere value lists of each root subtree, by recursive preorder."""
-    def visit(depth, value, last, spheres):
-        spheres[depth].append(value)
-        if depth < n_max:
-            for letter in range(2 * n_gens):
-                if letter != last ^ 1:
-                    visit(depth + 1, step(value, letter), letter, spheres)
-
-    parts = []
-    for root in range(2 * n_gens):
-        spheres = [[] for _ in range(n_max + 1)]
-        visit(1, step(x0, root), root, spheres)
-        parts.append(spheres)
-    return parts
-
-
-def _fold(parts, x0, order):
-    """Ball sums: each subtree's spheres in ``order``, subtrees by letter."""
-    sums = [x0]
-    for depth in range(1, len(parts[0])):
-        totals = [reduce(add, order(spheres[depth])) for spheres in parts]
-        sums.append(reduce(add, totals))
-    return sums
-
-
 class TestLevelOrderWalk:
     @pytest.mark.parametrize("n_gens,n_max,frontier", [
         (1, 12, 1024), (2, 9, 1024), (3, 6, 1024),
@@ -85,13 +75,14 @@ class TestLevelOrderWalk:
             calls.append(letter)
             return _affine(value, letter)
 
-        sums = _kernels.scan_object(n_gens, n_max, step, 0.1)
-        parts = _preorder_spheres(n_gens, n_max, _affine, 0.1)
+        sums = _kernels.scan_object(n_gens, n_max, _per_letter(n_gens, step),
+                                    0.1)
+        parts = preorder_spheres(n_gens, n_max, _affine, 0.1)
         assert [repr(s) for s in sums] == \
-            [repr(s) for s in _fold(parts, 0.1, list)]
+            [repr(s) for s in fold_spheres(parts, 0.1, list)]
         assert len(calls) == ball_size(n_max, n_gens) - 1
         if n_gens > 1:  # one word per sphere cannot show the order
-            backwards = _fold(parts, 0.1, lambda values: values[::-1])
+            backwards = fold_spheres(parts, 0.1, lambda values: values[::-1])
             assert [repr(s) for s in backwards] != [repr(s) for s in sums]
 
     def test_step_error_leaves_the_walk(self):
@@ -102,7 +93,7 @@ class TestLevelOrderWalk:
             return depth + 1
 
         with pytest.raises(DomainViolationError):
-            _kernels.scan_object(2, 9, step, 0)
+            _kernels.scan_object(2, 9, _per_letter(2, step), 0)
 
     def test_memory_is_bounded_by_the_frontier(self):
         # radius 12 on 2 generators: one subtree's last sphere alone is
@@ -115,3 +106,38 @@ class TestLevelOrderWalk:
             tracemalloc.stop()
         assert total == sign_ball_sum(12, 4)
         assert peak < 1 << 20
+
+
+class TestFolds:
+    """Int start values fold with an exact ``sum``, anything else in preorder."""
+
+    def test_a_float_start_folds_in_preorder_not_compensated(self):
+        # sum() compensates float rounding from Python 3.12; a walk that
+        # used it on floats would match the compensated fold below instead
+        sums = _kernels.scan_object(3, 4, _per_letter(3, _affine), 1.0)
+        parts = preorder_spheres(3, 4, _affine, 1.0)
+        assert [repr(s) for s in sums] == \
+            [repr(s) for s in fold_spheres(parts, 1.0, list)]
+        compensated = [1.0] + [reduce(add, [math.fsum(sp[d]) for sp in parts])
+                               for d in range(1, 5)]
+        assert [repr(s) for s in compensated] != [repr(s) for s in sums]
+
+    @pytest.mark.parametrize("frontier", [1024, 5])
+    @pytest.mark.parametrize("q,top", [(4, 9), (6, 9), (8, 7)])
+    def test_sign_walk_matches_the_closed_form(self, monkeypatch, frontier,
+                                               q, top):
+        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        for n in range(top + 1):
+            assert sign_ball_sum_brute(n, q) == sign_ball_sum(n, q), n
+
+    @pytest.mark.parametrize("frontier", [1024, 5])
+    @pytest.mark.parametrize("rates", [(F(3, 2), F(7, 5)),
+                                       (F(4, 3), F(5, 2), F(6, 5))])
+    def test_fractional_rate_walk_matches_the_recurrence(self, monkeypatch,
+                                                         frontier, rates):
+        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        x = F(7, 3)
+        top = 8 if len(rates) == 2 else 6
+        for n in range(top + 1):
+            recurrence = BankFamily(rates).exact_sphere_sums(x, n)
+            assert ball_sum_brute(rates, x, n) == sum(recurrence), n
