@@ -2,9 +2,11 @@
 
 Orbit values depend only on the accumulated rotation of a word (the maps
 commute): D_t(x) = (x + rotation(t)) mod 1.  Exact mode carries rational
-angles and decides integrality outright; approximate mode carries float
-angles with a tolerance and degrades certification accordingly (verdicts
-are marked uncertified, and full-circle answers become undecided).
+angles and decides integrality outright; it computes each rotation of a
+rational point in integers, as one floor-mod over the product of the two
+denominators.  Approximate mode carries float angles with a tolerance and
+degrades certification accordingly (verdicts are marked uncertified, and
+full-circle answers become undecided).
 """
 from __future__ import annotations
 
@@ -55,6 +57,13 @@ class CircleFamily(MapFamily):
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         self.apply_calls += 1
         angle = self.angles[gen - 1]
+        if self.exact and isinstance(x, Fraction):
+            # (x + power*angle) mod 1 as one floor-mod over the product of
+            # the denominators; Fraction() divides out their gcd
+            x_den, a_den = x.denominator, angle.denominator
+            den = x_den * a_den
+            num = x.numerator * a_den + power * angle.numerator * x_den
+            return Fraction(num % den, den)
         if power == 1:
             return mod1(x + angle, self.tol)
         if power == -1:

@@ -151,18 +151,33 @@ class CallableMapFamily(MapFamily):
         """Per-letter maps doing what ``apply`` does at power +1 or -1.
 
         Each counts one application, calls its map once and checks the
-        domain, without ``apply``'s dispatch on generator and power.
+        domain, without ``apply``'s dispatch on generator and power.  A
+        domain with no bounds holds every value but NaN and the infinities,
+        so its check is the float finiteness test alone.
         """
-        contains = self.domain.contains
+        domain = self.domain
+        if domain.lower is None and domain.upper is None:
+            isfinite = math.isfinite
 
-        def unit(fn):
-            def step(value):
-                self.apply_calls += 1
-                value = fn(value)
-                if not contains(value):
-                    raise DomainViolationError(value)
-                return value
-            return step
+            def unit(fn):
+                def step(value):
+                    self.apply_calls += 1
+                    value = fn(value)
+                    if isinstance(value, float) and not isfinite(value):
+                        raise DomainViolationError(value)
+                    return value
+                return step
+        else:
+            contains = domain.contains
+
+            def unit(fn):
+                def step(value):
+                    self.apply_calls += 1
+                    value = fn(value)
+                    if not contains(value):
+                        raise DomainViolationError(value)
+                    return value
+                return step
         return [unit(fn) for pair in self._pairs for fn in pair]
 
 

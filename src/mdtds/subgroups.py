@@ -113,6 +113,11 @@ class CyclicSubgroup(SubgroupSpec):
         u = self.generator_word
         return u.length, (u ** 2).length - u.length
 
+    @cached_property
+    def _powers(self) -> dict:
+        """steps -> (u^n, u^-n) with n = steps + 1, filled by ``member``."""
+        return {}
+
     def member(self, word: Word) -> bool:
         self._check_group(word)
         if word.is_identity:
@@ -122,8 +127,11 @@ class CyclicSubgroup(SubgroupSpec):
         steps, rest = divmod(word.length - u_len, v_len)
         if rest or steps < 0:
             return False
-        power = self.generator_word ** (steps + 1)
-        return word == power or word == power.inverse()
+        powers = self._powers.get(steps)
+        if powers is None:
+            power = self.generator_word ** (steps + 1)
+            powers = self._powers[steps] = (power, power.inverse())
+        return word == powers[0] or word == powers[1]
 
     def _index_info(self):
         if self.n_gens == 1:

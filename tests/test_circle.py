@@ -84,6 +84,23 @@ class TestEvaluation:
             got = family.apply(x, gen, power)
             assert repr(got) == repr(mod1(x + power * angle, family.tol))
 
+    @given(st.lists(st.fractions(min_value=F(1, 30), max_value=5,
+                                 max_denominator=30), min_size=1, max_size=3),
+           st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+           st.lists(st.integers(-7, 7), min_size=1, max_size=5),
+           st.data())
+    def test_any_point_and_power_matches_mod1(self, angles, x, powers, data):
+        exact = CircleFamily(angles)
+        approx = CircleFamily([float(a) for a in angles], exact=False)
+        gen = data.draw(st.integers(1, len(angles)))
+        for power in powers:
+            got = exact.apply(x, gen, power)
+            assert type(got) is F
+            assert got == mod1(x + power * exact.angles[gen - 1])
+            got = approx.apply(float(x), gen, power)
+            want = mod1(float(x) + power * approx.angles[gen - 1], approx.tol)
+            assert repr(got) == repr(want)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_orbit_ball_applies_once_per_edge(self, exact):
         family = CircleFamily([F(1, 3), F(2, 7)] if exact else [1 / 3, 2 / 7],

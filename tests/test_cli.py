@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mdtds.cli import main
+from mdtds import cli
+from mdtds.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,3 +222,50 @@ class TestOutputFile:
                            "--output", str(target))
         assert code == 0 and out == ""
         assert len(target.read_text().strip().splitlines()) == 6
+
+
+class TestRepeatedCalls:
+    """Several ``main`` calls in one process share one parser."""
+
+    def test_usage_error_then_a_valid_command(self, capsys):
+        code, out, err = run(capsys, "ball", "--s", "2")
+        assert code == 1 and out == "" and "error" in err
+        code, out, err = run(capsys, "ball", "--s", "2", "--n", "1")
+        assert code == 0 and len(out.splitlines()) == 6 and "5 words" in err
+
+    def test_output_file_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "ball.csv"
+        code, out, _ = run(capsys, "ball", "--s", "2", "--n", "1",
+                           "--output", str(target))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "ball", "--s", "2", "--n", "1")
+        assert code == 0 and out == target.read_text()
+
+    def test_output_matches_a_fresh_parser(self, capsys):
+        commands = [
+            ["ball", "--s", "2", "--n", "2"],
+            ["orbit", "--model", "circle", "--theta", "1/3,2/7", "--x", "1/5",
+             "--n", "2"],
+        ]
+        shared = [run(capsys, *argv)[:2] for argv in commands]
+        fresh = []
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+            fresh.append((code, capsys.readouterr().out))
+        assert shared == fresh
+
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+        run(capsys, "info")
+        run(capsys, "ball", "--s", "1", "--n", "1")
+        run(capsys, "orbit", "--model", "bank", "--x", "1", "--n", "1")
+        assert len(parsers) == 3
+        assert all(p is parsers[0] for p in parsers)
+        assert build_parser() is not build_parser()

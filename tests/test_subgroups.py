@@ -145,6 +145,32 @@ class TestCyclicMembership:
         for w in words:
             assert spec.member(w) == (w in powers), (u, w)
 
+    @pytest.mark.parametrize("n_gens, text, other", [
+        (1, "s1^2", "s1^3"),
+        (2, "s1 s2", "s2^-1 s1"),
+        (2, "s1 s2 s1^-1", "s2^2 s1 s2^-2"),
+        (2, "s2^-1 s1^2 s2 s1 s2", "s1"),
+        (3, "s3 s1 s2^-1 s3^-1", "s2 s3"),
+    ])
+    def test_warm_powers_give_the_same_answers(self, n_gens, text, other):
+        radius = 5 if n_gens < 3 else 4
+        words = [node.word for node in ball_enumerate(radius, n_gens)]
+        specs = [CyclicSubgroup(Word.parse(t, n_gens)) for t in (text, other)]
+        words += [s.generator_word ** j for s in specs for j in range(-3, 4)]
+        top = max(w.length for w in words)
+
+        def expected(u):
+            powers = [u ** n for n in range(-top, top + 1)]
+            return [any(w == p for p in powers) for w in words]
+        want = [expected(s.generator_word) for s in specs]
+        # a cold pass, a warm pass in reverse order, then the two specs
+        # interleaved, so no spec answers from the other's powers
+        for spec, answers in zip(specs, want):
+            assert [spec.member(w) for w in words] == answers
+            assert [spec.member(w) for w in reversed(words)] == answers[::-1]
+        for i, w in enumerate(words):
+            assert [spec.member(w) for spec in specs] == [a[i] for a in want]
+
     def test_membership_leaves_equality_hash_and_repr(self):
         u = W("s1 s2 s1^-1")
         spec, fresh = CyclicSubgroup(u), CyclicSubgroup(u)
