@@ -90,7 +90,7 @@ def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
         # the walk does not track words: the orbit walk over the same ball
         # fails too, at the first failing word in enumeration order, and
         # names it
-        for _ in _orbit_walk(family, x, n_max, node_cap, {}):
+        for _ in _orbit_walk(family, x, n_max, node_cap):
             pass
         raise
     return sums

@@ -32,7 +32,7 @@ from .errors import (EvaluationError, MdtdsError, ResourceLimitError,
                      WordSyntaxError)
 from .scalars import format_scalar, parse_rational
 from .subgroups import parse_subgroup
-from .words import DEFAULT_NODE_CAP, ball_enumerate
+from .words import DEFAULT_NODE_CAP, alphabet, ball_enumerate, ball_size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,11 +132,20 @@ def _verdict_dict(verdict) -> dict:
 
 
 def cmd_ball(args) -> int:
-    rows = [["word", "length", "parent", "letter"]]
-    for node in ball_enumerate(args.n, args.s, node_cap=args.node_cap):
-        rows.append([str(node.word), node.word.length,
-                     "" if node.parent is None else str(node.parent),
-                     "" if node.letter is None else str(node.letter)])
+    radius, n_gens, cap = args.n, args.s, args.node_cap
+    total = ball_size(radius, n_gens)
+    if total > cap:
+        raise ResourceLimitError(total, cap)
+    letter_texts = {letter: str(letter) for letter in alphabet(n_gens)}
+    nodes = ball_enumerate(radius, n_gens, node_cap=cap)
+    # preorder: a word's parent is the last word listed one level up, whose
+    # text ``texts[depth - 1]`` holds
+    texts = [str(next(nodes).word)] * (radius + 1)
+    rows = [["word", "length", "parent", "letter"], [texts[0], 0, "", ""]]
+    for word, _, letter in nodes:
+        depth = word.length
+        text = texts[depth] = str(word)
+        rows.append([text, depth, texts[depth - 1], letter_texts[letter]])
     if args.format == "json":
         payload = [{"word": r[0], "length": r[1], "parent": r[2] or None,
                     "letter": r[3] or None} for r in rows[1:]]

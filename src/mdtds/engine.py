@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import DomainViolationError, EvaluationError, WordSyntaxError
+from .errors import (DomainViolationError, EvaluationError, ResourceLimitError,
+                     WordSyntaxError)
 from .scalars import DEFAULT_TOL, Scalar, exact_sqrt
 from .subgroups import CyclicSubgroup, SubgroupSpec, _members
-from .words import DEFAULT_NODE_CAP, Word, ball_enumerate
+from .words import DEFAULT_NODE_CAP, Word, ball_enumerate, ball_size
 
 
 @dataclass(frozen=True)
@@ -246,37 +247,44 @@ class OrbitBall:
         return self.values.items()
 
 
-def _orbit_walk(family: MapFamily, x: Scalar, radius: int, node_cap: int,
-                values: dict) -> Iterator[tuple]:
+def _orbit_walk(family: MapFamily, x: Scalar, radius: int,
+                node_cap: int) -> Iterator[tuple]:
     """Yield (word, orbit value) over V_radius in enumeration order, lazily.
 
     One map application per tree edge: a child's value is its letter applied
-    to its parent's, read back from ``values``, where every yielded pair is
-    recorded.  An EvaluationError leaves with the failing word set.
+    to its parent's.  The enumeration is depth-first preorder, so the parent
+    of a word at depth d is the last word yielded at depth d-1; ``path[d]``
+    holds that last value, and a child reads its parent's value from
+    ``path[d - 1]`` with no lookup by word.  An EvaluationError leaves with
+    the failing word set.
     """
     apply = family.apply
-    for word, parent, letter in ball_enumerate(radius, family.n_gens,
-                                               node_cap=node_cap):
-        if parent is None:
-            value = x
-        else:
-            try:
-                value = apply(values[parent], letter.gen, letter.sign)
-            except EvaluationError as exc:
-                exc.word = word
-                raise
-        values[word] = value
+    path = [x] * (radius + 1)
+    nodes = ball_enumerate(radius, family.n_gens, node_cap=node_cap)
+    yield next(nodes).word, x
+    for word, _, (gen, sign) in nodes:
+        depth = word.length
+        try:
+            value = apply(path[depth - 1], gen, sign)
+        except EvaluationError as exc:
+            exc.word = word
+            raise
+        path[depth] = value
         yield word, value
 
 
 def orbit_ball(family: MapFamily, x: Scalar, radius: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> OrbitBall:
-    """Evaluate the orbit over V_radius with one map application per edge."""
+    """Evaluate the orbit over V_radius with one map application per edge.
+
+    Raises ResourceLimitError before evaluating anything when the ball has
+    more than ``node_cap`` words.
+    """
     x = family.coerce_point(x)
-    values: dict = {}
-    for _ in _orbit_walk(family, x, radius, node_cap, values):
-        pass
-    return OrbitBall(x, radius, values)
+    total = ball_size(radius, family.n_gens)
+    if total > node_cap:
+        raise ResourceLimitError(total, node_cap)
+    return OrbitBall(x, radius, dict(_orbit_walk(family, x, radius, node_cap)))
 
 
 # -- fixed points ---------------------------------------------------------------
@@ -387,7 +395,7 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
     # An exact value equal to one already checked passed the same checks, so
     # the first counterexample in (t, r) order is unchanged by skipping it.
     checked = set() if family.exact and members else None
-    for t, value in _orbit_walk(family, x, depth_t, node_cap, {}):
+    for t, value in _orbit_walk(family, x, depth_t, node_cap):
         if checked is not None:
             if value in checked:
                 continue

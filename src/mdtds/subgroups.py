@@ -166,7 +166,10 @@ class Balanced(SubgroupSpec):
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
-        return all(word.exponent_sum(i) == 0 for i in self.indices)
+        sums = [0] * (self.n_gens + 1)  # exponent sum per generator, one pass
+        for gen, exp in word.runs:
+            sums[gen] += exp
+        return not any(map(sums.__getitem__, self.indices))
 
     def _index_info(self):
         return ("infinite", None)
@@ -217,6 +220,8 @@ class KernelSubgroup(SubgroupSpec):
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
+        if len(self.kept) == self.n_gens:  # nothing erased: only e reduces to e
+            return not word.runs
         remaining = _reduce((g, e) for g, e in word.runs if g in self.kept)
         return not remaining
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError, WordSyntaxError
@@ -393,8 +393,7 @@ def sphere_words(radius: int, n_gens: int, *,
 # -- Cayley ball decomposition -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallComponent:
+class BallComponent(NamedTuple):
     """One block of the ball partition: {e}, an axis ray, or a word ray.
 
     * ``identity``: the single word e.
@@ -419,26 +418,36 @@ def ball_decompose(radius: int, n_gens: int, *,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     root = Word.identity(n_gens)
-    letters = alphabet(n_gens)
+    # per letter s: s and the runs of s^1 .. s^radius as one-run tails
+    tails = [(s, [((s.gen, s.sign * j),) for j in range(1, radius + 1)])
+             for s in alphabet(n_gens)]
+    node, blank = tuple.__new__, _blank
 
-    def ray(base: Word, s: SignedLetter, count: int) -> tuple:
-        # base is e or ends in another generator, so one more run stays reduced
-        runs, length, gen, sign = base.runs, base.length, s.gen, s.sign
-        return tuple([Word(n_gens, runs + ((gen, sign * j),), length + j)
-                      for j in range(1, count + 1)])
+    def ray(runs: tuple, length: int, tail: list) -> tuple:
+        # the base is e or ends in another generator, so each word is reduced
+        words = []
+        for size, run in zip(range(length + 1, radius + 1), tail):
+            # Word(n_gens, runs + run, size) with the slots filled in place
+            word = blank(_WordSlots)
+            word.n_gens = n_gens
+            word.runs = runs + run
+            word._length = size
+            word.__class__ = Word
+            words.append(word)
+        return tuple(words)
 
     comps = [BallComponent("identity", None, None, (root,))]
-    for s in letters:
-        comps.append(BallComponent("axis_ray", None, s, ray(root, s, radius)))
+    comps += [BallComponent("axis_ray", None, s, ray((), 0, tail)) for s, tail in tails]
     if radius == 1:
         return comps
-    for node in ball_enumerate(radius - 1, n_gens, node_cap=node_cap):
-        t = node.word
-        k = t.length
-        if k == 0:
-            continue
-        last_gen = t.runs[-1][0]
-        for s in letters:
-            if s.gen != last_gen:
-                comps.append(BallComponent("word_ray", t, s, ray(t, s, radius - k)))
+    # letters that may follow a base whose last generator is g
+    after = {g: [(s, tail) for s, tail in tails if s.gen != g]
+             for g in range(1, n_gens + 1)}
+    nodes = ball_enumerate(radius - 1, n_gens, node_cap=node_cap)
+    next(nodes)  # the root is no base
+    for t, _, _ in nodes:
+        runs, length = t.runs, t._length
+        for s, tail in after[runs[-1][0]]:
+            comps.append(node(BallComponent,
+                              ("word_ray", t, s, ray(runs, length, tail))))
     return comps

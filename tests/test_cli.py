@@ -1,8 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
-from mdtds import cli
+from mdtds import ball_enumerate, ball_size, cli
 from mdtds.cli import build_parser, main
 
 
@@ -39,6 +41,23 @@ class TestBall:
         payload = json.loads(out)
         assert [row["word"] for row in payload] == \
             ["e", "s1", "s1^-1", "s2", "s2^-1"]
+
+    @pytest.mark.parametrize("n_gens", [1, 2, 3])
+    def test_rows_match_the_enumerated_nodes(self, capsys, n_gens):
+        for radius in range(6):
+            rows = [[str(node.word), node.word.length,
+                     "" if node.parent is None else str(node.parent),
+                     "" if node.letter is None else str(node.letter)]
+                    for node in ball_enumerate(radius, n_gens)]
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                [["word", "length", "parent", "letter"]] + rows)
+            argv = ["ball", "--s", str(n_gens), "--n", str(radius)]
+            assert run(capsys, *argv) == (0, buf.getvalue(), f"{len(rows)} words\n")
+            payload = [{"word": w, "length": n, "parent": p or None,
+                        "letter": s or None} for w, n, p, s in rows]
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
 
 
 class TestOrbit:
@@ -169,9 +188,12 @@ class TestExitCodes:
         assert code == 1
 
     def test_node_cap(self, capsys):
-        code, _, err = run(capsys, "ball", "--s", "2", "--n", "10",
-                           "--node-cap", "100")
-        assert code == 2 and "cap" in err
+        # refused up front, so the message names the whole ball's size
+        for command in (["ball", "--s", "2"],
+                        ["orbit", "--model", "bank", "--q", "2,3", "--x", "1"]):
+            code, out, err = run(capsys, *command, "--n", "10", "--node-cap", "100")
+            assert code == 2 and "cap" in err and out == ""
+            assert f"needs {ball_size(10, 2)} nodes" in err
 
     def test_domain_violation(self, capsys):
         code, _, _ = run(capsys, "orbit", "--model", "bank", "--q", "2,3",

@@ -238,6 +238,56 @@ class TestOrbitBall:
         assert family.apply_calls == ball_size(6, 2) - 1
 
 
+# float rotations by a whole power round otherwise than step by step, so
+# ``evaluate`` is not a bit-for-bit reference for the walk there
+_ORBIT_KINDS = sorted(set(LETTER_MAP_FAMILIES) - {"circle float"})
+
+
+@st.composite
+def orbit_cases(draw):
+    kind = draw(st.sampled_from(_ORBIT_KINDS))
+    return kind, draw(LETTER_MAP_FAMILIES[kind][1]), draw(st.integers(0, 4))
+
+
+class TestOrbitBallFromTheDepthPath:
+    """Every ball value against ``evaluate``, or the same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(orbit_cases())
+    # preorder meets s2^-1 s1^2 (no square root of 65/128) before s1^-1
+    # (which leaves the domain), so the walk must name the former
+    @example(("affine/square exact", F(1, 8), 3))
+    @example(("affine/square exact", F(1), 4))
+    @example(("callable float", 1e308, 2))
+    def test_values_and_errors_match_evaluate(self, case):
+        kind, x, radius = case
+        make = LETTER_MAP_FAMILIES[kind][0]
+        family, reference = make(), make()
+        words = [node.word for node in ball_enumerate(radius, family.n_gens)]
+        try:
+            expected = [(w, evaluate(reference, w, x)) for w in words]
+        except EvaluationError as exc:
+            # the first failing word in enumeration order, or none when x
+            # itself lies outside the domain
+            with pytest.raises(EvaluationError) as info:
+                orbit_ball(family, x, radius)
+            assert (type(info.value), info.value.word, str(info.value)) == \
+                (type(exc), exc.word, str(exc))
+            return
+        ball = orbit_ball(family, x, radius)
+        assert list(ball.items()) == expected
+        assert family.apply_calls == ball_size(radius, family.n_gens) - 1
+
+    def test_an_over_cap_ball_is_refused_before_any_application(self):
+        family = BankFamily([2, 3])
+        with pytest.raises(ResourceLimitError) as info:
+            orbit_ball(family, F(1), 10, node_cap=100)
+        assert (info.value.requested, info.value.cap) == (ball_size(10, 2), 100)
+        assert family.apply_calls == 0
+        ball = orbit_ball(family, F(1), 3, node_cap=ball_size(3, 2))
+        assert len(ball.values) == ball_size(3, 2)
+
+
 class TestFixedPoints:
     def test_residual_at_common_fixed_point(self, fam44):
         assert fixed_point_residual(fam44, F(1)) == 0

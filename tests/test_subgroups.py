@@ -8,6 +8,7 @@ from mdtds import (Balanced, CyclicSubgroup, EvenCount, FullGroup,
                    IntersectionSubgroup, KernelSubgroup, Word,
                    WordSyntaxError, ball_enumerate, parse_subgroup,
                    subgroup_ball)
+from mdtds.words import _reduce
 
 from conftest import W, random_word, words_strategy
 
@@ -177,6 +178,44 @@ class TestCyclicMembership:
         assert spec.member(W("s1 s2^3 s1^-1"))
         assert spec == fresh and hash(spec) == hash(fresh)
         assert repr(spec) == repr(fresh) and str(spec) == str(fresh)
+
+
+def _index_set(n_gens, min_size):
+    return st.sets(st.integers(1, n_gens), min_size=min_size).map(frozenset)
+
+
+def _ball_and_random_words(data, n_gens):
+    """The ball of radius 5 (4 on three generators) and a few longer words."""
+    radius = 5 if n_gens < 3 else 4
+    return ([node.word for node in ball_enumerate(radius, n_gens)]
+            + data.draw(st.lists(words_strategy(n_gens, 16), max_size=10)))
+
+
+class TestKernelMembership:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_matches_the_erasure_reduction(self, n_gens, data):
+        # over two generators a kernel keeps both; over three it keeps two
+        # or all three
+        kept = data.draw(_index_set(n_gens, 2))
+        spec = KernelSubgroup(n_gens, kept)
+        for w in _ball_and_random_words(data, n_gens):
+            erased = _reduce((g, e) for g, e in w.runs if g in kept)
+            assert spec.member(w) == (not erased), (sorted(kept), w)
+
+
+class TestBalancedMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_matches_the_exponent_sums(self, n_gens, data):
+        indices = data.draw(_index_set(n_gens, 1))
+        spec = Balanced(n_gens, indices)
+        even = EvenCount(n_gens, data.draw(_index_set(n_gens, 1)))
+        both = IntersectionSubgroup((spec, even))
+        for w in _ball_and_random_words(data, n_gens):
+            balanced = all(w.exponent_sum(i) == 0 for i in indices)
+            assert spec.member(w) == balanced, (sorted(indices), w)
+            assert both.member(w) == (balanced and even.member(w)), w
 
 
 def _every_family(n_gens):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdtds import (ResourceLimitError, SignedLetter, Word, WordSyntaxError,
-                   alphabet, ball_decompose, ball_enumerate, ball_size,
-                   parse_word, sphere_size, sphere_words,
+from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
+                   WordSyntaxError, alphabet, ball_decompose, ball_enumerate,
+                   ball_size, parse_word, sphere_size, sphere_words,
                    traversal_sphere_counts)
 
 from conftest import W, random_word, words_strategy
@@ -255,6 +255,17 @@ class TestDecomposition:
             base = comp.base if comp.kind == "word_ray" else Word.identity(n_gens)
             for j, word in enumerate(comp.words, start=1):
                 assert word == base * step ** j
+                gen, sign = comp.letter
+                made = Word.from_runs(n_gens, base.runs + ((gen, sign * j),))
+                assert type(word) is Word and word.runs == made.runs
+                assert hash(word) == hash(made) and word.length == made.length
+
+    def test_blocks_are_named_tuples(self):
+        assert BallComponent._fields == ("kind", "base", "letter", "words")
+        for comp in ball_decompose(2, 2):
+            assert type(comp) is BallComponent
+            with pytest.raises(AttributeError):
+                comp.words = ()
 
     def test_block_order_is_pinned(self):
         word_rays = [
