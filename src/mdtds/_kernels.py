@@ -24,8 +24,7 @@ float sums are reproducible bit for bit.
 from __future__ import annotations
 
 from . import _kernel_py as _impl
-from .errors import ResourceLimitError
-from .words import DEFAULT_NODE_CAP, ball_size
+from .words import DEFAULT_NODE_CAP, check_ball_cap
 
 
 def kernel_backend() -> str:
@@ -44,9 +43,7 @@ def scan_object(n_gens: int, n_max: int, maps, x0, *,
     """
     if len(maps) != 2 * n_gens:
         raise ValueError(f"need {2 * n_gens} letter maps, got {len(maps)}")
-    total = ball_size(n_max, n_gens)
-    if total > node_cap:
-        raise ResourceLimitError(total, node_cap)
+    check_ball_cap(n_max, n_gens, node_cap)
     sums: list = [x0] + [None] * n_max
     for letter in range(2 * n_gens):
         part = _impl.subtree_scan_object(n_gens, n_max, maps, x0, letter)

@@ -32,7 +32,7 @@ from .errors import (EvaluationError, MdtdsError, ResourceLimitError,
                      WordSyntaxError)
 from .scalars import format_scalar, parse_rational
 from .subgroups import parse_subgroup
-from .words import DEFAULT_NODE_CAP, alphabet, ball_enumerate, ball_size
+from .words import DEFAULT_NODE_CAP, alphabet, ball_enumerate, check_ball_cap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,13 +133,11 @@ def _verdict_dict(verdict) -> dict:
 
 def cmd_ball(args) -> int:
     radius, n_gens, cap = args.n, args.s, args.node_cap
-    total = ball_size(radius, n_gens)
-    if total > cap:
-        raise ResourceLimitError(total, cap)
+    check_ball_cap(radius, n_gens, cap)
     letter_texts = {letter: str(letter) for letter in alphabet(n_gens)}
     nodes = ball_enumerate(radius, n_gens, node_cap=cap)
-    # preorder: a word's parent is the last word listed one level up, whose
-    # text ``texts[depth - 1]`` holds
+    # preorder (see ball_enumerate): a word's parent is the last word listed
+    # one level up, whose text ``texts[depth - 1]`` holds
     texts = [str(next(nodes).word)] * (radius + 1)
     rows = [["word", "length", "parent", "letter"], [texts[0], 0, "", ""]]
     for word, _, letter in nodes:

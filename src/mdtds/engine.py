@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import (DomainViolationError, EvaluationError, ResourceLimitError,
-                     WordSyntaxError)
+from .errors import DomainViolationError, EvaluationError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, exact_sqrt
 from .subgroups import CyclicSubgroup, SubgroupSpec, _members
-from .words import DEFAULT_NODE_CAP, Word, ball_enumerate, ball_size
+from .words import DEFAULT_NODE_CAP, Word, ball_enumerate, check_ball_cap
 
 
 @dataclass(frozen=True)
@@ -252,10 +251,10 @@ def _orbit_walk(family: MapFamily, x: Scalar, radius: int,
     """Yield (word, orbit value) over V_radius in enumeration order, lazily.
 
     One map application per tree edge: a child's value is its letter applied
-    to its parent's.  The enumeration is depth-first preorder, so the parent
-    of a word at depth d is the last word yielded at depth d-1; ``path[d]``
-    holds that last value, and a child reads its parent's value from
-    ``path[d - 1]`` with no lookup by word.  An EvaluationError leaves with
+    to its parent's.  The enumeration is preorder (see ``ball_enumerate``),
+    so the parent of a word at depth d is the last word yielded at depth
+    d-1; ``path[d]`` holds that last value, and a child reads its parent's
+    value from ``path[d - 1]`` with no lookup by word.  An EvaluationError leaves with
     the failing word set.
     """
     apply = family.apply
@@ -281,9 +280,7 @@ def orbit_ball(family: MapFamily, x: Scalar, radius: int, *,
     more than ``node_cap`` words.
     """
     x = family.coerce_point(x)
-    total = ball_size(radius, family.n_gens)
-    if total > node_cap:
-        raise ResourceLimitError(total, node_cap)
+    check_ball_cap(radius, family.n_gens, node_cap)
     return OrbitBall(x, radius, dict(_orbit_walk(family, x, radius, node_cap)))
 
 

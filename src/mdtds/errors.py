@@ -10,12 +10,19 @@ class WordSyntaxError(MdtdsError, ValueError):
 
 
 class ResourceLimitError(MdtdsError):
-    """A traversal would visit more nodes than the configured cap."""
+    """A traversal would visit more nodes than the configured cap.
 
-    def __init__(self, requested: int, cap: int):
-        super().__init__(f"traversal needs {requested} nodes, cap is {cap}")
+    ``requested`` is the number of nodes the traversal needs or, when
+    ``exact`` is false, a number it is known to exceed (the true count is too
+    large to be worth computing).
+    """
+
+    def __init__(self, requested: int, cap: int, *, exact: bool = True):
+        needs = requested if exact else f"more than {requested}"
+        super().__init__(f"traversal needs {needs} nodes, cap is {cap}")
         self.requested = requested
         self.cap = cap
+        self.exact = exact
 
 
 class EvaluationError(MdtdsError):

@@ -317,6 +317,39 @@ def ball_size(radius: int, n_gens: int) -> int:
     return total
 
 
+_NAMED_SIZE_LIMIT = 1 << 64  # refusals name ball sizes up to this exactly
+
+
+def check_ball_cap(radius: int, n_gens: int, node_cap: int) -> None:
+    """Raise ResourceLimitError when V_radius has more than ``node_cap`` words.
+
+    Decided without building |V_radius|, which for a large radius has
+    thousands of digits: sphere sizes are added only until the total passes
+    both the cap and 2**64, so the work grows with the cap's digit count, not
+    with the radius.  The error names the ball size when it is at most
+    2**64, and otherwise says that it exceeds the larger of the two.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if n_gens < 1:
+        raise ValueError("need at least one generator")
+    limit = max(node_cap, _NAMED_SIZE_LIMIT)
+    if n_gens == 1:
+        total = 2 * radius + 1
+    else:
+        q = 2 * n_gens
+        total = sphere = 1
+        for depth in range(radius):
+            sphere = sphere * (q - 1) if depth else q
+            total += sphere
+            if total > limit:
+                break
+    if total > limit:
+        raise ResourceLimitError(limit, node_cap, exact=False)
+    if total > node_cap:
+        raise ResourceLimitError(total, node_cap)
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -341,6 +374,11 @@ def ball_enumerate(radius: int, n_gens: int, *,
     emitted exactly once, parents before children; a child never prepends the
     inverse of its parent's leading letter (no backtracking on the tree).
     Raises ResourceLimitError when the stream would exceed ``node_cap`` nodes.
+
+    The order is preorder: the parent of a word of length d is the last word
+    of length d-1 emitted before it.  ``engine._orbit_walk`` and
+    ``cli.cmd_ball`` rely on this and keep their parents' data in lists
+    indexed by depth instead of looking it up by word.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -421,20 +459,12 @@ def ball_decompose(radius: int, n_gens: int, *,
     # per letter s: s and the runs of s^1 .. s^radius as one-run tails
     tails = [(s, [((s.gen, s.sign * j),) for j in range(1, radius + 1)])
              for s in alphabet(n_gens)]
-    node, blank = tuple.__new__, _blank
+    node = tuple.__new__
 
     def ray(runs: tuple, length: int, tail: list) -> tuple:
         # the base is e or ends in another generator, so each word is reduced
-        words = []
-        for size, run in zip(range(length + 1, radius + 1), tail):
-            # Word(n_gens, runs + run, size) with the slots filled in place
-            word = blank(_WordSlots)
-            word.n_gens = n_gens
-            word.runs = runs + run
-            word._length = size
-            word.__class__ = Word
-            words.append(word)
-        return tuple(words)
+        return tuple([Word(n_gens, runs + run, size)
+                      for size, run in zip(range(length + 1, radius + 1), tail)])
 
     comps = [BallComponent("identity", None, None, (root,))]
     comps += [BallComponent("axis_ray", None, s, ray((), 0, tail)) for s, tail in tails]

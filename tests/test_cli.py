@@ -194,6 +194,10 @@ class TestExitCodes:
             code, out, err = run(capsys, *command, "--n", "10", "--node-cap", "100")
             assert code == 2 and "cap" in err and out == ""
             assert f"needs {ball_size(10, 2)} nodes" in err
+            # |V_10000| has 4,772 digits: the message bounds it instead
+            code, out, err = run(capsys, *command, "--n", "10000", "--node-cap", "100")
+            assert code == 2 and out == ""
+            assert f"needs more than {2 ** 64} nodes, cap is 100" in err
 
     def test_domain_violation(self, capsys):
         code, _, _ = run(capsys, "orbit", "--model", "bank", "--q", "2,3",

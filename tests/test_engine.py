@@ -283,6 +283,10 @@ class TestOrbitBallFromTheDepthPath:
         with pytest.raises(ResourceLimitError) as info:
             orbit_ball(family, F(1), 10, node_cap=100)
         assert (info.value.requested, info.value.cap) == (ball_size(10, 2), 100)
+        # a ball too large to count exactly is refused just as early
+        with pytest.raises(ResourceLimitError) as info:
+            orbit_ball(family, F(1), 10_000, node_cap=100)
+        assert (info.value.requested, info.value.exact) == (2 ** 64, False)
         assert family.apply_calls == 0
         ball = orbit_ball(family, F(1), 3, node_cap=ball_size(3, 2))
         assert len(ball.values) == ball_size(3, 2)

@@ -36,9 +36,10 @@ class TestOrchestration:
             calls.append(letter)
             return value
 
-        with pytest.raises(ResourceLimitError):
-            _kernels.scan_object(2, 10, _per_letter(2, step), 1,
-                                  node_cap=1000)
+        for n_max in (10, 10 ** 4):  # the second ball has 4,772 digits
+            with pytest.raises(ResourceLimitError):
+                _kernels.scan_object(2, n_max, _per_letter(2, step), 1,
+                                      node_cap=1000)
         assert calls == []
 
     def test_rejects_a_map_list_of_the_wrong_length(self):

@@ -11,6 +11,7 @@ from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
                    WordSyntaxError, alphabet, ball_decompose, ball_enumerate,
                    ball_size, parse_word, sphere_size, sphere_words,
                    traversal_sphere_counts)
+from mdtds.words import check_ball_cap
 
 from conftest import W, random_word, words_strategy
 
@@ -185,6 +186,43 @@ class TestCardinalities:
         assert abs(ratio - Fraction(q - 2, q - 1)) < Fraction(1, 10 ** 6)
 
 
+class TestBallCap:
+    @given(st.integers(1, 4), st.integers(0, 12), st.integers(-1, 10 ** 6))
+    def test_refuses_exactly_the_balls_over_the_cap(self, n_gens, radius, cap):
+        size = ball_size(radius, n_gens)
+        if size <= cap:
+            check_ball_cap(radius, n_gens, cap)
+            return
+        with pytest.raises(ResourceLimitError) as info:
+            check_ball_cap(radius, n_gens, cap)
+        assert (info.value.requested, info.value.cap, info.value.exact) == \
+            (size, cap, True)
+        assert f"needs {size} nodes, cap is {cap}" in str(info.value)
+
+    @pytest.mark.parametrize("n_gens, radius", [(1, 10 ** 4000), (2, 10 ** 4),
+                                                (3, 10 ** 8)])
+    def test_a_huge_ball_is_refused_without_its_size(self, n_gens, radius):
+        # |V_radius| has thousands to millions of digits; too many to print
+        with pytest.raises(ResourceLimitError) as info:
+            check_ball_cap(radius, n_gens, 100)
+        assert (info.value.requested, info.value.cap, info.value.exact) == \
+            (2 ** 64, 100, False)
+        assert f"needs more than {2 ** 64} nodes, cap is 100" in str(info.value)
+
+    def test_a_size_past_2_to_the_64_is_named_by_a_larger_cap(self):
+        cap = 10 ** 30
+        with pytest.raises(ResourceLimitError) as info:
+            check_ball_cap(10 ** 6, 2, cap)
+        assert (info.value.requested, info.value.exact) == (cap, False)
+        check_ball_cap(60, 2, ball_size(60, 2))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            check_ball_cap(-1, 2, 100)
+        with pytest.raises(ValueError):
+            check_ball_cap(1, 0, 100)
+
+
 class TestEnumeration:
     def test_radius_zero(self):
         nodes = list(ball_enumerate(0, 2))
@@ -205,6 +243,15 @@ class TestEnumeration:
                 # no backtracking: the prepended letter never cancels
                 assert node.word.length == node.parent.length + 1
             seen.add(node.word)
+
+    @pytest.mark.parametrize("n_gens, radius", [(1, 6), (2, 5), (3, 4)])
+    def test_parent_is_the_last_word_one_level_up(self, n_gens, radius):
+        # the preorder rule the orbit walk and the ball listing rely on
+        last = {}
+        for word, parent, _ in ball_enumerate(radius, n_gens):
+            if parent is not None:
+                assert parent is last[word.length - 1]
+            last[word.length] = word
 
     def test_deterministic_order(self):
         first = [str(n.word) for n in ball_enumerate(3, 2)]
