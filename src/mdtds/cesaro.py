@@ -25,7 +25,7 @@ from typing import Optional
 from . import _kernels
 from .engine import MapFamily, _orbit_walk
 from .errors import EvaluationError, WordSyntaxError
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, int_text, parse_int, parse_scalar
 from .words import DEFAULT_NODE_CAP, ball_size
 
 
@@ -66,7 +66,7 @@ class CesaroReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "ball_size", "ball_sum", "C_n"])
         for row in self.rows:
-            writer.writerow([row.radius, row.ball_size,
+            writer.writerow([row.radius, int_text(row.ball_size),
                              format_scalar(row.ball_sum), format_scalar(row.mean)])
         return buf.getvalue()
 
@@ -76,7 +76,7 @@ class CesaroReport:
         header = next(reader)
         if header != ["n", "ball_size", "ball_sum", "C_n"]:
             raise WordSyntaxError("unexpected report header")
-        rows = [CesaroRow(int(n), int(size), parse_scalar(total), parse_scalar(mean))
+        rows = [CesaroRow(int(n), parse_int(size), parse_scalar(total), parse_scalar(mean))
                 for n, size, total, mean in reader]
         return cls(tuple(rows))
 

@@ -64,10 +64,6 @@ class CircleFamily(MapFamily):
             den = x_den * a_den
             num = x.numerator * a_den + power * angle.numerator * x_den
             return Fraction(num % den, den)
-        if power == 1:
-            return mod1(x + angle, self.tol)
-        if power == -1:
-            return mod1(x - angle, self.tol)
         return mod1(x + power * angle, self.tol)
 
     def exact_sphere_sums(self, x: Scalar, n_max: int, *,

@@ -66,7 +66,7 @@ def _int_at_least(minimum: int):
 
 
 _NONNEGATIVE = _int_at_least(0)  # radii
-_POSITIVE = _int_at_least(1)  # search depths and generator counts
+_POSITIVE = _int_at_least(1)  # search depths, generator counts and node caps
 
 
 def _build_family(args) -> MapFamily:
@@ -275,7 +275,7 @@ def cmd_info(args) -> int:
 
 
 def _add_common(sub, *, model=False, point=False, fmt=False):
-    sub.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+    sub.add_argument("--node-cap", type=_POSITIVE, default=DEFAULT_NODE_CAP,
                      help="abort traversals beyond this many nodes")
     if fmt:
         # tabular commands emit CSV and verdict commands JSON by design;

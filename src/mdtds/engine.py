@@ -258,7 +258,7 @@ def _orbit_walk(family: MapFamily, x: Scalar, radius: int,
     the failing word set.
     """
     apply = family.apply
-    path = [x] * (radius + 1)
+    path = [x] * (min(radius, node_cap) + 1)  # c words reach depth c-1 at most
     nodes = ball_enumerate(radius, family.n_gens, node_cap=node_cap)
     yield next(nodes).word, x
     for word, _, (gen, sign) in nodes:
@@ -382,12 +382,15 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
     every orbit value against every subgroup member; the first failure in
     (t, r) enumeration order is returned, which makes the counterexample
     deterministic.  An exact family tests each distinct orbit value once.
+    The member ball V_depth_r, listed whole, is refused before any word when
+    over the cap; the walk over t counts only the words it visits.
     """
     if spec.n_gens != family.n_gens:
         raise WordSyntaxError("subgroup and family sizes differ")
     if depth_t < 1 or depth_r < 1:
         raise ValueError("depths must be >= 1")
     x = family.coerce_point(x)
+    check_ball_cap(depth_r, spec.n_gens, node_cap)
     members = list(_members(spec, depth_r, node_cap))
     # An exact value equal to one already checked passed the same checks, so
     # the first counterexample in (t, r) order is unchanged by skipping it.

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import WordSyntaxError
-from .words import DEFAULT_NODE_CAP, Word, _reduce, ball_enumerate
+from .words import DEFAULT_NODE_CAP, Word, _reduce, ball_enumerate, check_ball_cap
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
 
 
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
-    """Members other than e in V_radius, streamed in enumeration order."""
+    """Members other than e in V_radius, streamed; counts only words visited."""
     member = spec.member
     for word, parent, _ in ball_enumerate(radius, spec.n_gens, node_cap=node_cap):
         if parent is not None and member(word):
@@ -291,7 +291,11 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,
                   node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Members of the subgroup within the ball V_radius, enumeration order."""
+    """Members of the subgroup within the ball V_radius, enumeration order.
+
+    An over-cap V_radius is refused before the first membership test.
+    """
+    check_ball_cap(radius, spec.n_gens, node_cap)
     return [Word.identity(spec.n_gens), *_members(spec, radius, node_cap)]
 
 

@@ -323,31 +323,20 @@ _NAMED_SIZE_LIMIT = 1 << 64  # refusals name ball sizes up to this exactly
 def check_ball_cap(radius: int, n_gens: int, node_cap: int) -> None:
     """Raise ResourceLimitError when V_radius has more than ``node_cap`` words.
 
-    Decided without building |V_radius|, which for a large radius has
-    thousands of digits: sphere sizes are added only until the total passes
-    both the cap and 2**64, so the work grows with the cap's digit count, not
-    with the radius.  The error names the ball size when it is at most
-    2**64, and otherwise says that it exceeds the larger of the two.
+    Decided without building |V_radius| when that has more bits than the
+    limit, the larger of the cap and 2**64: on two or more generators
+    |V_r| >= 4 * 3**(r-1) >= 2**(r+1), so every radius from the limit's bit
+    length on is over it.  The error names the ball size when it is at most
+    the limit, and otherwise says that it exceeds the limit.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if n_gens < 1:
-        raise ValueError("need at least one generator")
     limit = max(node_cap, _NAMED_SIZE_LIMIT)
-    if n_gens == 1:
-        total = 2 * radius + 1
-    else:
-        q = 2 * n_gens
-        total = sphere = 1
-        for depth in range(radius):
-            sphere = sphere * (q - 1) if depth else q
-            total += sphere
-            if total > limit:
-                break
-    if total > limit:
+    if n_gens > 1 and radius >= limit.bit_length():
         raise ResourceLimitError(limit, node_cap, exact=False)
-    if total > node_cap:
-        raise ResourceLimitError(total, node_cap)
+    size = ball_size(radius, n_gens)
+    if size > limit:
+        raise ResourceLimitError(limit, node_cap, exact=False)
+    if size > node_cap:
+        raise ResourceLimitError(size, node_cap)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -423,7 +412,11 @@ def ball_enumerate(radius: int, n_gens: int, *,
 
 def sphere_words(radius: int, n_gens: int, *,
                  node_cap: int = DEFAULT_NODE_CAP) -> list[Word]:
-    """All words of length exactly ``radius`` in enumeration order."""
+    """All words of length exactly ``radius`` in enumeration order.
+
+    An over-cap V_radius is refused before the first word.
+    """
+    check_ball_cap(radius, n_gens, node_cap)
     return [node.word for node in ball_enumerate(radius, n_gens, node_cap=node_cap)
             if node.word.length == radius]
 
@@ -452,9 +445,11 @@ def ball_decompose(radius: int, n_gens: int, *,
 
     The blocks are pairwise disjoint and their union is exactly the
     enumerated ball; empty rays (bases of length = radius) are omitted.
+    An over-cap V_radius is refused before the first block.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    check_ball_cap(radius, n_gens, node_cap)
     root = Word.identity(n_gens)
     # per letter s: s and the runs of s^1 .. s^radius as one-run tails
     tails = [(s, [((s.gen, s.sign * j),) for j in range(1, radius + 1)])

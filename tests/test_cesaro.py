@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
-                   CircleFamily, Domain, DomainViolationError,
+                   CesaroRow, CircleFamily, Domain, DomainViolationError,
                    ResourceLimitError, WordSyntaxError, _kernel_py,
                    affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
@@ -82,6 +83,21 @@ class TestScan:
     def test_csv_round_trip(self):
         report = cesaro_scan(BankFamily([2, 3]), F(1), 3)
         assert CesaroReport.from_csv(report.to_csv()) == report
+
+    def test_csv_round_trip_past_the_int_text_limit(self):
+        # at radius 3,000 the exact sums have about 16,500 digits, far past
+        # CPython's 4,300-digit int-to-text limit; the last rows carry them,
+        # and a ball size passes it from radius 9,000 on
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        rows = cesaro_scan(BankFamily([2, 3]), F(1), 3000).rows[-2:]
+        report = CesaroReport(rows + (CesaroRow(10 ** 4, ball_size(10 ** 4, 2),
+                                                F(1), F(1)),))
+        assert rows[-1].ball_sum.numerator.bit_length() > 4300 * 10 / 3
+        text = report.to_csv()
+        assert text.splitlines()[-2].startswith("3000,")
+        assert CesaroReport.from_csv(text) == report
+        assert limit() == before
 
 
 def _walked(family):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -107,6 +108,17 @@ class TestCesaro:
                            "--x", "1", "--nmax", "1000")
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("1000,")
+
+    def test_radius_past_the_int_text_limit(self, capsys):
+        # exact sums past 4,300 digits print in full; the process-wide
+        # int-to-text limit stays as it was
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, out, _ = run(capsys, "cesaro", "--model", "bank", "--q", "2,3",
+                           "--x", "1", "--nmax", "3000")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("3000,")
+        assert limit() == before
 
 
 class TestVerdicts:
@@ -217,6 +229,9 @@ class TestExitCodes:
          "--subgroup", "even:1,2", "--depth-r", "0"),
         ("paper", "--item", "ex3.9", "--nmax", "0"),
         ("ball", "--s", "0", "--n", "1"),
+        ("ball", "--s", "2", "--n", "1", "--node-cap", "0"),
+        ("cesaro", "--model", "bank", "--q", "2,3", "--x", "1",
+         "--nmax", "1", "--node-cap", "-1"),
     ])
     def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

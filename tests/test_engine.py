@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from mdtds import (BankFamily, Balanced, CallableMapFamily, CircleFamily,
                    is_h_fixed, is_h_periodic, omega_sample, orbit_ball,
                    parse_subgroup, stable_set_check, subgroup_ball)
 
-from conftest import W, random_fraction, random_word
+from conftest import RecordingFullGroup, W, random_fraction, random_word
 
 
 @pytest.fixture
@@ -383,6 +384,28 @@ class TestHPeriodic:
         with pytest.raises(ExactnessError) as info:
             is_h_periodic(fam44, u_spec, F(1, 3), 4, 1)
         assert info.value.word == W("s2^-1 s1^3")
+
+    def test_member_ball_over_the_cap_is_refused_before_any_word(self):
+        # the members are listed whole, so their ball is refused up front
+        family, spec = BankFamily([2, 3]), RecordingFullGroup(2)
+        with pytest.raises(ResourceLimitError) as info:
+            is_h_periodic(family, spec, F(1), 1, 12, node_cap=1000)
+        assert (info.value.requested, info.value.exact) == (ball_size(12, 2), True)
+        assert spec.calls == [] and family.apply_calls == 0
+
+    def test_deep_search_refusal_holds_a_short_depth_path(self):
+        # the walk over t stops at the cap: 1,000 words never need a depth
+        # path of 2*10**7 entries, which would take 160 MB
+        family, spec = identity_family(2), FullGroup(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                is_h_periodic(family, spec, F(0), 2 * 10 ** 7, 1, node_cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.requested == 1001
+        assert peak < 2 ** 20
 
     def test_full_group_periodicity_equals_fixedness(self, fam44):
         verdict = is_h_periodic(fam44, FullGroup(2), F(1), 3, 3)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdtds import (Balanced, CyclicSubgroup, EvenCount, FullGroup,
-                   IntersectionSubgroup, KernelSubgroup, Word,
-                   WordSyntaxError, ball_enumerate, parse_subgroup,
-                   subgroup_ball)
+                   IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
+                   Word, WordSyntaxError, ball_enumerate, ball_size,
+                   parse_subgroup, subgroup_ball)
 from mdtds.words import _reduce
 
-from conftest import W, random_word, words_strategy
+from conftest import RecordingFullGroup, W, random_word, words_strategy
 
 
 def all_specs(n_gens=2):
@@ -246,6 +246,15 @@ class TestSubgroupBall:
 
     def test_balanced_ball_radius_one(self):
         assert [str(w) for w in subgroup_ball(Balanced.all_generators(2), 1)] == ["e"]
+
+    def test_over_the_cap_is_refused_before_any_membership_test(self):
+        # a refusal found by counting would name cap + 1, after cap tests
+        spec = RecordingFullGroup(2)
+        with pytest.raises(ResourceLimitError) as info:
+            subgroup_ball(spec, 12, node_cap=1000)
+        assert (info.value.requested, info.value.exact) == (ball_size(12, 2), True)
+        assert spec.calls == []
+        assert len(subgroup_ball(spec, 6, node_cap=ball_size(6, 2))) == ball_size(6, 2)
 
 
 class TestMeta:

@@ -11,6 +11,7 @@ from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
                    WordSyntaxError, alphabet, ball_decompose, ball_enumerate,
                    ball_size, parse_word, sphere_size, sphere_words,
                    traversal_sphere_counts)
+from mdtds import words
 from mdtds.words import check_ball_cap
 
 from conftest import W, random_word, words_strategy
@@ -187,17 +188,25 @@ class TestCardinalities:
 
 
 class TestBallCap:
-    @given(st.integers(1, 4), st.integers(0, 12), st.integers(-1, 10 ** 6))
-    def test_refuses_exactly_the_balls_over_the_cap(self, n_gens, radius, cap):
+    @given(st.integers(1, 4), st.integers(0, 80), st.integers(-1, 10 ** 6),
+           st.sampled_from([-1, 0, 1]))
+    def test_refuses_exactly_the_balls_over_the_cap(self, n_gens, radius,
+                                                    random_cap, offset):
+        # caps on both sides of the ball size and of 2**64, the largest size
+        # a refusal names unless the cap is larger
         size = ball_size(radius, n_gens)
-        if size <= cap:
-            check_ball_cap(radius, n_gens, cap)
-            return
-        with pytest.raises(ResourceLimitError) as info:
-            check_ball_cap(radius, n_gens, cap)
-        assert (info.value.requested, info.value.cap, info.value.exact) == \
-            (size, cap, True)
-        assert f"needs {size} nodes, cap is {cap}" in str(info.value)
+        for cap in (random_cap, size + offset, 2 ** 64 + offset):
+            if size <= cap:
+                check_ball_cap(radius, n_gens, cap)
+                continue
+            with pytest.raises(ResourceLimitError) as info:
+                check_ball_cap(radius, n_gens, cap)
+            limit = max(cap, 2 ** 64)
+            exact = size <= limit
+            assert (info.value.requested, info.value.cap, info.value.exact) == \
+                (size if exact else limit, cap, exact)
+            needs = size if exact else f"more than {limit}"
+            assert f"needs {needs} nodes, cap is {cap}" in str(info.value)
 
     @pytest.mark.parametrize("n_gens, radius", [(1, 10 ** 4000), (2, 10 ** 4),
                                                 (3, 10 ** 8)])
@@ -221,6 +230,25 @@ class TestBallCap:
             check_ball_cap(-1, 2, 100)
         with pytest.raises(ValueError):
             check_ball_cap(1, 0, 100)
+
+    @pytest.mark.parametrize("whole_ball", [sphere_words, ball_decompose])
+    def test_whole_ball_functions_refuse_before_the_first_word(
+            self, monkeypatch, whole_ball):
+        # a refusal found by counting would name cap + 1, after cap words
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked an over-cap ball")
+
+        monkeypatch.setattr(words, "ball_enumerate", no_walk)
+        with pytest.raises(ResourceLimitError) as info:
+            whole_ball(12, 2, node_cap=1000)
+        assert (info.value.requested, info.value.exact) == (ball_size(12, 2), True)
+
+    def test_decomposition_counts_the_words_it_returns(self):
+        # its bases fill V_(radius-1), but its rays fill V_radius
+        with pytest.raises(ResourceLimitError):
+            ball_decompose(3, 2, node_cap=ball_size(2, 2))
+        blocks = ball_decompose(3, 2, node_cap=ball_size(3, 2))
+        assert sum(len(block.words) for block in blocks) == ball_size(3, 2)
 
 
 class TestEnumeration:
