@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import WordSyntaxError
-from .words import DEFAULT_NODE_CAP, Word, _reduce, ball_enumerate, check_ball_cap
+from .errors import ResourceLimitError, WordSyntaxError
+from .words import (DEFAULT_NODE_CAP, Word, _ball_key, _reduce,
+                    _zero_sum_words, check_ball_cap)
 
 
 @dataclass(frozen=True)
@@ -282,11 +283,102 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
 
 
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
-    """Members other than e in V_radius, streamed; counts only words visited."""
-    member = spec.member
-    for word, parent, _ in ball_enumerate(radius, spec.n_gens, node_cap=node_cap):
-        if parent is not None and member(word):
-            yield word
+    """Members other than e in V_radius, streamed in ``ball_enumerate`` order.
+
+    The spec's structure picks how they are found; each way yields the same
+    words in the same order:
+
+    * a cyclic subgroup, or an intersection with a cyclic part, lists the
+      powers ``u^n`` and ``u^-n`` that fit in the ball and keeps those that
+      pass ``member``: O(radius / |v|) words for ``u = c v c^-1``, not the
+      whole ball;
+    * any other spec walks the ball with ``words._zero_sum_words``, which
+      skips every subtree that holds no word with exponent sum zero on the
+      generators its balanced and kernel parts fix (none for full and
+      even-count specs), and tests the words it yields.
+
+    Each way counts the root and every word it builds or visits, and raises
+    ResourceLimitError once the count passes ``node_cap``, so a search that
+    stops at a witness has done only the work up to it.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    cyclic = _cyclic_part(spec)
+    if cyclic is not None:
+        yield from _listed_members(spec, cyclic, radius, node_cap)
+    else:
+        yield from filter(spec.member, _zero_sum_words(
+            radius, spec.n_gens, _zero_sum_gens(spec), node_cap))
+
+
+def _cyclic_part(spec: SubgroupSpec) -> Optional[CyclicSubgroup]:
+    """The spec itself when cyclic, else the first cyclic part of an intersection."""
+    if isinstance(spec, CyclicSubgroup):
+        return spec
+    if isinstance(spec, IntersectionSubgroup):
+        for part in spec.parts:
+            found = _cyclic_part(part)
+            if found is not None:
+                return found
+    return None
+
+
+def _zero_sum_gens(spec: SubgroupSpec) -> frozenset:
+    """Generators on which every member has exponent sum zero, by structure.
+
+    A kernel member erases to e on its kept generators, so its exponent sum
+    on each of them is zero too.
+    """
+    if isinstance(spec, Balanced):
+        return spec.indices
+    if isinstance(spec, KernelSubgroup):
+        return spec.kept
+    if isinstance(spec, IntersectionSubgroup):
+        return frozenset().union(*map(_zero_sum_gens, spec.parts))
+    return frozenset()
+
+
+def _listed_members(spec: SubgroupSpec, cyclic: CyclicSubgroup, radius: int,
+                    node_cap: int) -> Iterator[Word]:
+    """Powers of the cyclic part within the ball that are members, ball order.
+
+    With ``u = c v c^-1`` and ``v`` cyclically reduced, ``u^n`` read from the
+    right end is ``c^-1``, then ``v`` n times, then ``c``.  So ``u^n`` and
+    ``u^(n+1)`` part where one goes on with ``c`` and the other with ``v``,
+    at letters that do not depend on ``n``: the positive powers come in ball
+    order either all ascending or all descending in ``n``, and so do the
+    negative ones.  ``u^n`` and ``u^-m`` part at the first letters of ``v``
+    and ``v^-1`` read from the right, so one sign comes wholly first.  The
+    three comparisons are made once on ``u``, ``u^2``, ``u^-1`` and ``u^-2``
+    with ``words._ball_key``.  A descending sign builds its powers before it
+    yields the largest; each power counts against ``node_cap`` when built.
+    """
+    u_len, v_len = cyclic._lengths
+    top = (radius - u_len) // v_len + 1 if radius >= u_len else 0
+    if node_cap < 1:
+        raise ResourceLimitError(1, node_cap)
+    count = 1  # the root
+    if not top:
+        return
+    u, u_inv = cyclic.generator_word, cyclic.generator_word.inverse()
+    signs = [(u, _ball_key(u) < _ball_key(u * u)),
+             (u_inv, _ball_key(u_inv) < _ball_key(u_inv * u_inv))]
+    if _ball_key(u_inv) < _ball_key(u):
+        signs.reverse()
+    # every power is a member of the cyclic part itself
+    keep = spec.member if spec is not cyclic else (lambda word: True)
+    for base, ascending in signs:
+        built, power = [], None
+        for _ in range(top):
+            power = base if power is None else power * base
+            count += 1
+            if count > node_cap:
+                raise ResourceLimitError(count, node_cap)
+            if not ascending:
+                built.append(power)
+            elif keep(power):
+                yield power
+        yield from filter(keep, reversed(built))
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,

@@ -1,0 +1,199 @@
+"""Subgroup members found by structure, against the whole-ball walk.
+
+``subgroups._members`` lists the powers of a cyclic part and walks only the
+zero-exponent-sum part of the ball for balanced and kernel parts.  Every
+test here compares it, or a verdict built on it, with the reference that
+tests each word ``ball_enumerate`` yields.
+"""
+import itertools
+from contextlib import ExitStack
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdtds import (Balanced, BankFamily, CircleFamily, CyclicSubgroup,
+                   EvenCount, FullGroup, IntersectionSubgroup, KernelSubgroup,
+                   MdtdsError, ResourceLimitError, VerifiedUpTo, ball_enumerate,
+                   ball_size, classify_periodicity, is_h_fixed, parse_subgroup,
+                   periodic_set, stable_set_check)
+from mdtds import bank, circle, engine
+from mdtds.subgroups import _members
+
+from conftest import RecordingFullGroup, W, words_strategy
+
+CAP = 10 ** 8
+
+
+def reference(spec, radius, node_cap=CAP):
+    """Members other than e, by testing every word of the ball in order."""
+    return iter([n.word for n in ball_enumerate(radius, spec.n_gens)
+                 if n.parent is not None and spec.member(n.word)])
+
+
+def specs(n_gens):
+    """Every spec kind, cyclic words ``c v^n c^-1`` and nested intersections."""
+    indices = st.sets(st.integers(1, n_gens), min_size=1).map(frozenset)
+    cyclic = st.builds(
+        lambda c, v, n: CyclicSubgroup(c * v ** n * c.inverse()),
+        words_strategy(n_gens, 2),
+        words_strategy(n_gens, 3).filter(lambda v: not v.is_identity),
+        st.sampled_from([1, -1, 2, -2]))
+    parts = [st.just(FullGroup(n_gens)), cyclic,
+             st.builds(Balanced, st.just(n_gens), indices),
+             st.builds(EvenCount, st.just(n_gens), indices)]
+    if n_gens > 1:
+        kept = st.sets(st.integers(1, n_gens), min_size=2).map(frozenset)
+        parts.append(st.builds(KernelSubgroup, st.just(n_gens), kept))
+    leaves = st.one_of(parts)
+
+    def intersection(inner):
+        return st.lists(inner, min_size=1, max_size=3).map(
+            lambda ps: IntersectionSubgroup(tuple(ps)))
+
+    # single specs as often as intersections, which may nest
+    return st.one_of(leaves, intersection(
+        st.recursive(leaves, intersection, max_leaves=3)))
+
+
+groups = st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), specs(k)))
+
+
+def outcome(call):
+    """The verdict, or the type of error the call raised."""
+    try:
+        return call()
+    except MdtdsError as exc:  # compared, not swallowed: both sides must agree
+        return type(exc)
+
+
+def by_reference(call):
+    """``call()`` with every search reading its members from the reference."""
+    with ExitStack() as patches:
+        for module in (engine, bank, circle):
+            patches.enter_context(mock.patch.object(module, "_members", reference))
+        return outcome(call)
+
+
+class TestSameMembersInBallOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(groups, st.integers(0, 6))
+    def test_every_spec_kind(self, group, radius):
+        n_gens, spec = group
+        if n_gens == 3:
+            radius = min(radius, 5)
+        assert list(_members(spec, radius, CAP)) == list(reference(spec, radius))
+
+    @pytest.mark.parametrize("text, n_gens", [
+        ("cyclic:s1^3", 2), ("cyclic:s1^-2", 1), ("cyclic:s2*s1*s2^-1", 2),
+        ("cyclic:s1*s2^2*s1^-1", 3), ("cyclic:s1^-1*s2^-1*s1*s2", 2),
+        ("and(cyclic:s1*s2*s1^-1*s2^-1;bal:)", 2), ("and(cyclic:s1^2;even:1)", 2),
+        ("and(bal:1;ker:2,3)", 3), ("and(even:1,2;bal:1)", 2),
+        ("and(ker:1,2;cyclic:s3^2)", 3), ("and(and(bal:2;even:1);full)", 2),
+        ("ker:1,2", 2), ("ker:1,3", 3), ("bal:", 3), ("bal:1", 1),
+    ])
+    def test_named_specs(self, text, n_gens):
+        spec = parse_subgroup(text, n_gens)
+        for radius in range(7 if n_gens < 3 else 6):
+            assert list(_members(spec, radius, CAP)) == list(reference(spec, radius))
+
+
+class TestSameVerdicts:
+    @settings(max_examples=60, deadline=None)
+    @given(groups, st.integers(1, 5), st.data())
+    def test_circle_verdicts(self, group, depth, data):
+        n_gens, spec = group
+        angles = data.draw(st.lists(st.fractions(F(1, 12), 1, max_denominator=12),
+                                    min_size=n_gens, max_size=n_gens))
+        x = data.draw(st.fractions(0, 1, max_denominator=12))
+        family = CircleFamily(angles)
+        for call in (lambda: is_h_fixed(family, spec, x, depth),
+                     lambda: periodic_set(family, spec, depth),
+                     lambda: stable_set_check(family, spec, F(0), x, 4, F(1, 20),
+                                              ray_depth=min(depth, 3))):
+            assert outcome(call) == by_reference(call)
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups, st.integers(1, 5), st.data())
+    def test_bank_verdicts(self, group, depth, data):
+        n_gens, spec = group
+        rates = data.draw(st.lists(st.sampled_from([F(3, 2), 2, 3, 4]),
+                                   min_size=n_gens, max_size=n_gens))
+        family = BankFamily(rates)
+        for call in (lambda: is_h_fixed(family, spec, F(1), depth),
+                     lambda: classify_periodicity(rates, spec, depth)):
+            assert outcome(call) == by_reference(call)
+
+
+class TestWorkDone:
+    def test_cyclic_members_test_only_the_powers(self):
+        recorder = RecordingFullGroup(2)
+        spec = IntersectionSubgroup((CyclicSubgroup(W("s1 s2")), recorder))
+        members = list(_members(spec, 6, CAP))
+        powers = [W("s1 s2") ** n for n in (1, -1, 2, -2, 3, -3)]
+        assert sorted(recorder.calls, key=str) == sorted(powers, key=str)
+        assert members == list(reference(spec, 6))
+
+    def test_balanced_walk_tests_only_zero_sum_words(self):
+        recorder = RecordingFullGroup(2)
+        spec = IntersectionSubgroup((Balanced(2, frozenset([2])), recorder))
+        members = list(_members(spec, 6, CAP))
+        assert all(w.exponent_sum(2) == 0 for w in recorder.calls)
+        assert len(recorder.calls) == len(members) < ball_size(6, 2) // 3
+
+    def test_a_deep_cyclic_search_lists_only_its_powers(self):
+        # V_3000 is far over the cap; the 2,001 listed words are not
+        family = CircleFamily([F(1, 3), F(1, 5)])
+        spec = CyclicSubgroup(W("s1^3"))
+        assert is_h_fixed(family, spec, F(1, 7), 3000, node_cap=10_000) == \
+            VerifiedUpTo(0, 3000)
+
+    def test_a_balanced_search_under_a_quarter_ball_cap_answers(self):
+        cap = ball_size(8, 2) // 4
+        verdict = is_h_fixed(BankFamily([2, 3]), Balanced.all_generators(2),
+                             F(1), 8, node_cap=cap)
+        assert verdict == VerifiedUpTo(0, 8)
+
+    @pytest.mark.parametrize("spec", [
+        FullGroup(2), CyclicSubgroup(W("s1")), Balanced.all_generators(2),
+        KernelSubgroup(2, frozenset([1, 2]))])
+    def test_every_route_counts_the_root(self, spec):
+        with pytest.raises(ResourceLimitError) as info:
+            list(_members(spec, 0, 0))
+        assert (info.value.requested, info.value.cap) == (1, 0)
+        assert list(_members(spec, 0, 1)) == []
+
+    def test_each_power_counts_when_built(self):
+        # s1 s2 and its inverse, four powers a side within V_8; the negative
+        # powers come first in ball order, so the cap stops the positive ones
+        spec = CyclicSubgroup(W("s1 s2"))
+        assert len(list(_members(spec, 8, 9))) == 8
+        stream, got = _members(spec, 8, 8), []
+        with pytest.raises(ResourceLimitError) as info:
+            got.extend(stream)
+        assert (info.value.requested, info.value.cap) == (9, 8)
+        assert got == list(reference(spec, 8))[:7]
+
+    @pytest.mark.parametrize("angles, text, cap, witness", [
+        ((F(1, 3), F(1, 5)), "cyclic:s1", 20, "s1"),
+        ((F(1, 4), F(1, 5)), "cyclic:s1^3", 4, "s1^3"),
+        ((F(1, 3), F(1, 5)), "cyclic:s2*s1*s2^-1", 20, "s2 s1^10 s2^-1")])
+    def test_a_witness_search_stops_at_its_witness(self, angles, text, cap, witness):
+        # V_12 is far over the cap; the whole-ball walk reaches each witness
+        # within it, and so must the listed powers
+        verdict = is_h_fixed(CircleFamily(angles), parse_subgroup(text, 2), F(0),
+                             12, node_cap=cap)
+        assert verdict.r == W(witness)
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups, st.integers(0, 5))
+    def test_no_member_needs_more_nodes_than_the_whole_ball_walk(self, group, radius):
+        n_gens, spec = group
+        radius = min(radius, 5 if n_gens < 3 else 4)
+        reached = [count for count, node in enumerate(ball_enumerate(radius, n_gens), 1)
+                   if node.parent is not None and spec.member(node.word)]
+        for i, count in enumerate(reached[:10], 1):
+            # the walk held its i-th member once it had counted ``count`` nodes
+            assert len(list(itertools.islice(_members(spec, radius, count), i))) == i

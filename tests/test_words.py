@@ -12,7 +12,7 @@ from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
                    ball_size, parse_word, sphere_size, sphere_words,
                    traversal_sphere_counts)
 from mdtds import words
-from mdtds.words import check_ball_cap
+from mdtds.words import _ball_key, check_ball_cap
 
 from conftest import W, random_word, words_strategy
 
@@ -289,6 +289,23 @@ class TestEnumeration:
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
             list(ball_enumerate(5, 2, node_cap=10))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_the_root_counts_against_the_cap(self, cap):
+        # the same ball check_ball_cap refuses, refused by the walk too
+        with pytest.raises(ResourceLimitError):
+            check_ball_cap(0, 2, cap)
+        with pytest.raises(ResourceLimitError) as info:
+            list(ball_enumerate(0, 2, node_cap=cap))
+        assert (info.value.requested, info.value.cap) == (1, cap)
+        assert [n.word for n in ball_enumerate(0, 2, node_cap=1)] == [W("e")]
+
+    @given(st.integers(1, 3), st.data())
+    def test_ball_key_sorts_into_enumeration_order(self, n_gens, data):
+        radius = data.draw(st.integers(0, 6 if n_gens < 3 else 4))
+        ball = [node.word for node in ball_enumerate(radius, n_gens)]
+        shuffled = data.draw(st.permutations(ball))
+        assert sorted(shuffled, key=_ball_key) == ball
 
     def test_sphere_words(self):
         assert len(sphere_words(2, 2)) == 12
