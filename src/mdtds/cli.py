@@ -252,6 +252,8 @@ def cmd_paper(args) -> int:
                 kwargs["q"] = int(args.q)
             except ValueError as exc:
                 raise _UsageError(f"bad degree {args.q!r}") from exc
+            if kwargs["q"] < 4 or kwargs["q"] % 2:
+                raise _UsageError(f"degree must be an even integer >= 4, got {args.q!r}")
         if args.nmax is not None:
             kwargs["n_max"] = args.nmax
     elif args.item in ("prop5.1", "prop5.2", "prop5.3", "prop5.4") and args.q:

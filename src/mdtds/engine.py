@@ -202,7 +202,6 @@ def affine_and_square_family(exact: bool = True) -> CallableMapFamily:
             (lambda v: v * v, exact_sqrt),
         ]
         return CallableMapFamily(pairs, Domain(Fraction(0), Fraction(1)))
-    import math
     pairs = [
         (lambda v: 0.75 * v + 0.25, lambda v: (v - 0.25) / 0.75),
         (lambda v: v * v, math.sqrt),

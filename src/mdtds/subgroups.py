@@ -114,11 +114,6 @@ class CyclicSubgroup(SubgroupSpec):
         u = self.generator_word
         return u.length, (u ** 2).length - u.length
 
-    @cached_property
-    def _powers(self) -> dict:
-        """steps -> (u^n, u^-n) with n = steps + 1, filled by ``member``."""
-        return {}
-
     def member(self, word: Word) -> bool:
         self._check_group(word)
         if word.is_identity:
@@ -128,11 +123,8 @@ class CyclicSubgroup(SubgroupSpec):
         steps, rest = divmod(word.length - u_len, v_len)
         if rest or steps < 0:
             return False
-        powers = self._powers.get(steps)
-        if powers is None:
-            power = self.generator_word ** (steps + 1)
-            powers = self._powers[steps] = (power, power.inverse())
-        return word == powers[0] or word == powers[1]
+        power = self.generator_word ** (steps + 1)
+        return word == power or word == power.inverse()
 
     def _index_info(self):
         if self.n_gens == 1:
@@ -265,6 +257,13 @@ class IntersectionSubgroup(SubgroupSpec):
         return "and(" + ";".join(str(p) for p in self.parts) + ")"
 
 
+def _parts(spec: SubgroupSpec) -> list:
+    """The spec's parts, nested intersections flattened; else the spec alone."""
+    if isinstance(spec, IntersectionSubgroup):
+        return [leaf for part in spec.parts for leaf in _parts(part)]
+    return [spec]
+
+
 def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
     """True when the spec is provably inside the fully balanced subgroup.
 
@@ -272,75 +271,59 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
     balanced word, and intersections with such a part qualify.  False means
     "not proven", not "false".
     """
-    if isinstance(spec, Balanced) and spec.is_fully_balanced:
-        return True
-    if isinstance(spec, CyclicSubgroup):
-        u = spec.generator_word
-        return all(u.exponent_sum(i) == 0 for i in range(1, u.n_gens + 1))
-    if isinstance(spec, IntersectionSubgroup):
-        return any(contained_in_fully_balanced(p) for p in spec.parts)
+    for part in _parts(spec):
+        if isinstance(part, Balanced) and part.is_fully_balanced:
+            return True
+        if isinstance(part, CyclicSubgroup):
+            u = part.generator_word
+            if all(u.exponent_sum(i) == 0 for i in range(1, u.n_gens + 1)):
+                return True
     return False
 
 
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     """Members other than e in V_radius, streamed in ``ball_enumerate`` order.
 
-    The spec's structure picks how they are found; each way yields the same
-    words in the same order:
+    The spec's parts, read once with nested intersections flattened, pick how
+    they are found; each way yields the same words in the same order:
 
-    * a cyclic subgroup, or an intersection with a cyclic part, lists the
-      powers ``u^n`` and ``u^-n`` that fit in the ball and keeps those that
-      pass ``member``: O(radius / |v|) words for ``u = c v c^-1``, not the
-      whole ball;
-    * any other spec walks the ball with ``words._zero_sum_words``, which
-      skips every subtree that holds no word with exponent sum zero on the
-      generators its balanced and kernel parts fix (none for full and
-      even-count specs), and tests the words it yields.
+    * with a cyclic part, the first one's powers ``u^n`` and ``u^-n`` that fit
+      in the ball are listed and kept when every other part holds them (each
+      is a member of the cyclic part, so that part never tests them):
+      O(radius / |v|) words for ``u = c v c^-1``, not the whole ball;
+    * otherwise ``words._zero_sum_words`` walks the ball, skipping every
+      subtree that holds no word with exponent sum zero on the generators of
+      the balanced and kernel parts (a kernel member erases to e on its kept
+      generators, so their sums are zero too; full and even-count parts fix
+      none), and the words it yields are tested against the spec.
 
     Each way counts the root and every word it builds or visits, and raises
-    ResourceLimitError once the count passes ``node_cap``, so a search that
-    stops at a witness has done only the work up to it.
+    ResourceLimitError once the count passes ``node_cap`` (a cap below 1
+    refuses the root), so a search that stops at a witness has done only the
+    work up to it.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    cyclic = _cyclic_part(spec)
+    if node_cap < 1:
+        raise ResourceLimitError(1, node_cap)
+    parts = _parts(spec)
+    cyclic = next((p for p in parts if isinstance(p, CyclicSubgroup)), None)
     if cyclic is not None:
-        yield from _listed_members(spec, cyclic, radius, node_cap)
+        powers = _listed_members(cyclic, radius, node_cap)
+        others = tuple(p for p in parts if p is not cyclic)
+        yield from (filter(IntersectionSubgroup(others).member, powers)
+                    if others else powers)
     else:
+        fixed = frozenset().union(*(
+            p.indices if isinstance(p, Balanced) else p.kept
+            for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
         yield from filter(spec.member, _zero_sum_words(
-            radius, spec.n_gens, _zero_sum_gens(spec), node_cap))
+            radius, spec.n_gens, fixed, node_cap))
 
 
-def _cyclic_part(spec: SubgroupSpec) -> Optional[CyclicSubgroup]:
-    """The spec itself when cyclic, else the first cyclic part of an intersection."""
-    if isinstance(spec, CyclicSubgroup):
-        return spec
-    if isinstance(spec, IntersectionSubgroup):
-        for part in spec.parts:
-            found = _cyclic_part(part)
-            if found is not None:
-                return found
-    return None
-
-
-def _zero_sum_gens(spec: SubgroupSpec) -> frozenset:
-    """Generators on which every member has exponent sum zero, by structure.
-
-    A kernel member erases to e on its kept generators, so its exponent sum
-    on each of them is zero too.
-    """
-    if isinstance(spec, Balanced):
-        return spec.indices
-    if isinstance(spec, KernelSubgroup):
-        return spec.kept
-    if isinstance(spec, IntersectionSubgroup):
-        return frozenset().union(*map(_zero_sum_gens, spec.parts))
-    return frozenset()
-
-
-def _listed_members(spec: SubgroupSpec, cyclic: CyclicSubgroup, radius: int,
+def _listed_members(cyclic: CyclicSubgroup, radius: int,
                     node_cap: int) -> Iterator[Word]:
-    """Powers of the cyclic part within the ball that are members, ball order.
+    """The powers of ``cyclic`` other than e within the ball, in ball order.
 
     With ``u = c v c^-1`` and ``v`` cyclically reduced, ``u^n`` read from the
     right end is ``c^-1``, then ``v`` n times, then ``c``.  So ``u^n`` and
@@ -351,12 +334,11 @@ def _listed_members(spec: SubgroupSpec, cyclic: CyclicSubgroup, radius: int,
     and ``v^-1`` read from the right, so one sign comes wholly first.  The
     three comparisons are made once on ``u``, ``u^2``, ``u^-1`` and ``u^-2``
     with ``words._ball_key``.  A descending sign builds its powers before it
-    yields the largest; each power counts against ``node_cap`` when built.
+    yields the largest; each power counts against ``node_cap`` when built,
+    after the root.
     """
     u_len, v_len = cyclic._lengths
     top = (radius - u_len) // v_len + 1 if radius >= u_len else 0
-    if node_cap < 1:
-        raise ResourceLimitError(1, node_cap)
     count = 1  # the root
     if not top:
         return
@@ -365,8 +347,6 @@ def _listed_members(spec: SubgroupSpec, cyclic: CyclicSubgroup, radius: int,
              (u_inv, _ball_key(u_inv) < _ball_key(u_inv * u_inv))]
     if _ball_key(u_inv) < _ball_key(u):
         signs.reverse()
-    # every power is a member of the cyclic part itself
-    keep = spec.member if spec is not cyclic else (lambda word: True)
     for base, ascending in signs:
         built, power = [], None
         for _ in range(top):
@@ -374,11 +354,11 @@ def _listed_members(spec: SubgroupSpec, cyclic: CyclicSubgroup, radius: int,
             count += 1
             if count > node_cap:
                 raise ResourceLimitError(count, node_cap)
-            if not ascending:
-                built.append(power)
-            elif keep(power):
+            if ascending:
                 yield power
-        yield from filter(keep, reversed(built))
+            else:
+                built.append(power)
+        yield from reversed(built)
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,

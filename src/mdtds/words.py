@@ -427,10 +427,9 @@ def _zero_sum_words(radius: int, n_gens: int, fixed: frozenset,
     of |e_i(w)|`` more letters to reach zero: a subtree with ``|w| + off(w)
     > radius`` is skipped unvisited, and only words with ``off(w) == 0``
     are made into Words.  With ``fixed`` empty this is every word of the
-    ball.  The root and each visited word count against ``node_cap``.
+    ball.  The root and each visited word count against ``node_cap``, so a
+    cap below 1 refuses at the first pop.
     """
-    if node_cap < 1:
-        raise ResourceLimitError(1, node_cap)
     # per letter, in descending index order as in ball_enumerate: index,
     # generator, sign, one-letter runs, fixed?
     table = [(li, letter.gen, letter.sign, ((letter.gen, letter.sign),),
@@ -472,26 +471,11 @@ def _zero_sum_words(radius: int, n_gens: int, fixed: frozenset,
                           else run + runs, depth, child_sums, child_off))
 
 
-def _ball_key(word: Word) -> tuple:
-    """Sort key that puts any words in ``ball_enumerate`` order.
-
-    That order compares the letter indices read from the right end, a word
-    before its extensions.  The key compares the same way run by run, so it
-    stays as short as the run list: reading from the right, a run of ``m``
-    letters of index ``i`` whose word goes on with index ``j`` (-1 at the
-    left end) becomes ``(i, 0, m)`` when ``j < i`` and ``(i, 1, -m)`` when
-    ``j > i``.  Where two runs of ``i`` part, the shorter one's word goes on
-    with its ``j`` and the longer one's with ``i``, so the shorter comes
-    first exactly when ``j < i``.
-    """
-    key = []
-    after = -1  # index of the letter left of the current run
-    for gen, exp in word.runs:
-        index, m = 2 * gen - (2 if exp > 0 else 1), abs(exp)
-        key.append((index, 1, -m) if after > index else (index, 0, m))
-        after = index
-    key.reverse()
-    return tuple(key)
+def _ball_key(word: Word) -> list:
+    """Sort key that puts any words in ``ball_enumerate`` order: the letter
+    indices read from the right end, so a word comes before its extensions."""
+    return [2 * gen - (2 if exp > 0 else 1)
+            for gen, exp in reversed(word.runs) for _ in range(abs(exp))]
 
 
 def sphere_words(radius: int, n_gens: int, *,

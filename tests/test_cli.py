@@ -170,6 +170,14 @@ class TestPaper:
                            "--nmax", "8")
         assert code == 0 and out.startswith("PASS")
 
+    @pytest.mark.parametrize("q", ["5", "2", "-4"])
+    def test_sign_study_refuses_a_degree_that_is_not_even_and_at_least_4(
+            self, capsys, q):
+        code, out, err = run(capsys, "paper", "--item", "ex3.9", "--q", q)
+        assert code == 1 and out == ""
+        assert err.count("error: ") == 1
+        assert err.splitlines()[-1].startswith("error: ")
+
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_sign_study_refuses_a_radius_below_one(self, n_max):
         from mdtds import repro

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdtds import (Balanced, BankFamily, CircleFamily, CyclicSubgroup,
-                   EvenCount, FullGroup, IntersectionSubgroup, KernelSubgroup,
-                   MdtdsError, ResourceLimitError, VerifiedUpTo, ball_enumerate,
-                   ball_size, classify_periodicity, is_h_fixed, parse_subgroup,
+from mdtds import (Balanced, BankFamily, CircleFamily, Counterexample,
+                   CyclicSubgroup, EvenCount, FullGroup, IntersectionSubgroup,
+                   KernelSubgroup, MdtdsError, ResourceLimitError,
+                   VerifiedUpTo, ball_enumerate, ball_size,
+                   classify_periodicity, is_h_fixed, parse_subgroup,
                    periodic_set, stable_set_check)
 from mdtds import bank, circle, engine
-from mdtds.subgroups import _members
+from mdtds.subgroups import _members, contained_in_fully_balanced
 
 from conftest import RecordingFullGroup, W, words_strategy
 
@@ -197,3 +198,35 @@ class TestWorkDone:
         for i, count in enumerate(reached[:10], 1):
             # the walk held its i-th member once it had counted ``count`` nodes
             assert len(list(itertools.islice(_members(spec, radius, count), i))) == i
+
+
+class TestStructureReadOnce:
+    @pytest.mark.parametrize("text", ["and(cyclic:s1^2*s2^5;full)",
+                                      "and(and(cyclic:s1^2*s2^5;full);even:1)"])
+    def test_listed_powers_are_tested_only_by_the_other_parts(self, text):
+        spec = parse_subgroup(text, 2)
+        want = list(reference(spec, 8))
+        # u = s1^2 s2^5 turns circle (1/2, 1/5) a whole turn, (1/3, 1/5) by 2/3
+        fixed = CircleFamily([F(1, 2), F(1, 5)])
+        moved = CircleFamily([F(1, 3), F(1, 5)])
+        with mock.patch.object(CyclicSubgroup, "member",
+                               side_effect=AssertionError("cyclic part tested")):
+            assert list(_members(spec, 8, CAP)) == want
+            assert is_h_fixed(fixed, spec, F(1, 7), 2000) == VerifiedUpTo(0, 2000)
+            assert is_h_fixed(moved, spec, F(1, 7), 2000) == Counterexample(
+                W("e"), W("s2^-5 s1^-2"), F(1, 7), F(10, 21))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.just(k), specs(k), specs(k), specs(k))),
+        st.integers(0, 5))
+    def test_nesting_gives_the_same_answers(self, drawn, radius):
+        n_gens, a, b, c = drawn
+        radius = min(radius, 5 if n_gens < 3 else 4)
+        shapes = [IntersectionSubgroup((a, IntersectionSubgroup((b, c)))),
+                  IntersectionSubgroup((IntersectionSubgroup((a, b)), c)),
+                  IntersectionSubgroup((a, b, c))]
+        assert len({contained_in_fully_balanced(s) for s in shapes}) == 1
+        flat_members = list(_members(shapes[-1], radius, CAP))
+        for shape in shapes[:-1]:
+            assert list(_members(shape, radius, CAP)) == flat_members
