@@ -5,16 +5,19 @@ ball), ``cesaro`` (ball-average scan), ``fixed`` / ``periodic`` (set-level
 and pointwise verdicts), ``paper`` (the named reproduction suite), ``info``
 (active kernel backend).
 
-Exit codes: 0 success, 1 usage error, 2 node cap exceeded, 3 domain or
-exactness violation.  Data goes to stdout (or ``--output``), diagnostics to
-stderr.
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+error, 2 node cap exceeded, 3 domain or exactness violation.  Data goes to
+stdout (or ``--output``), diagnostics to stderr.  ``paper`` refuses any
+option its item does not read.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,11 +31,11 @@ from .cesaro import cesaro_scan
 from .engine import (MapFamily, VerifiedUpTo, fixed_point_residual,
                      identity_family, is_fixed, is_h_fixed, is_h_periodic,
                      orbit_ball)
-from .errors import (EvaluationError, MdtdsError, ResourceLimitError,
-                     WordSyntaxError)
+from .errors import EvaluationError, MdtdsError, ResourceLimitError
 from .scalars import format_scalar, parse_rational
 from .subgroups import parse_subgroup
-from .words import DEFAULT_NODE_CAP, alphabet, ball_enumerate, check_ball_cap
+from .words import (DEFAULT_NODE_CAP, Word, alphabet, ball_enumerate,
+                    check_ball_cap)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,66 +72,67 @@ _NONNEGATIVE = _int_at_least(0)  # radii
 _POSITIVE = _int_at_least(1)  # search depths, generator counts and node caps
 
 
+def _scalar(text: str, exact: bool):
+    """A number from the command line: rational text, or a float if not exact."""
+    if exact:
+        return parse_rational(text)
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise _UsageError(f"not a number: {text!r}") from exc
+
+
+def _scalars(text: str, exact: bool = True) -> list:
+    return [_scalar(part, exact) for part in text.split(",")]
+
+
 def _build_family(args) -> MapFamily:
-    model = args.model
-    if model == "bank":
+    if args.model == "identity":
+        return identity_family(args.s or 1)
+    if args.model == "bank":
         if not args.q:
             raise _UsageError("--model bank needs --q rates")
-        return bank_mod.BankFamily([parse_rational(p) for p in args.q.split(",")])
-    if model == "circle":
-        text = args.theta
-        if not text:
-            raise _UsageError("--model circle needs --theta angles")
-        approx = text.endswith(":approx")
-        if approx:
-            text = text[: -len(":approx")]
-        parts = text.split(",")
-        if approx:
-            try:
-                angles = [float(p) for p in parts]
-            except ValueError as exc:
-                raise _UsageError(f"bad angle list {text!r}") from exc
-            return circle_mod.CircleFamily(angles, exact=False)
-        return circle_mod.CircleFamily([parse_rational(p) for p in parts])
-    if model == "identity":
-        return identity_family(args.s or 1)
-    raise _UsageError(f"unknown model {model!r}")
+        return bank_mod.BankFamily(_scalars(args.q))
+    if not args.theta:
+        raise _UsageError("--model circle needs --theta angles")
+    text = args.theta.removesuffix(":approx")
+    exact = text == args.theta
+    return circle_mod.CircleFamily(_scalars(text, exact), exact=exact)
 
 
 def _parse_point(args, family: MapFamily):
     if args.x is None:
         raise _UsageError("this command needs --x")
-    if family.exact:
-        return parse_rational(args.x)
-    try:
-        return float(args.x)
-    except ValueError as exc:
-        raise _UsageError(f"bad point {args.x!r}") from exc
-
-
-def _open_output(args):
-    if args.output in (None, "-"):
-        return sys.stdout, False
-    return open(args.output, "w", encoding="utf-8"), True
+    return _scalar(args.x, family.exact)
 
 
 def _emit(args, text: str) -> None:
-    stream, close = _open_output(args)
-    try:
-        stream.write(text)
-        if not text.endswith("\n"):
-            stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    end = "" if text.endswith("\n") else "\n"
+    if args.output in (None, "-"):
+        print(text, end=end)
+    else:
+        with open(args.output, "w", encoding="utf-8") as stream:
+            print(text, end=end, file=stream)
+
+
+def _fields(record, *names) -> dict:
+    """The named attributes of a verdict record as JSON values: words as text,
+    rationals and floats as ``format_scalar`` text, the rest as they are."""
+    out = {}
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, Word):
+            value = str(value)
+        elif isinstance(value, (Fraction, float)):
+            value = format_scalar(value)
+        out[name] = value
+    return out
 
 
 def _verdict_dict(verdict) -> dict:
     if isinstance(verdict, VerifiedUpTo):
-        return {"type": "verified_up_to", "depth_t": verdict.depth_t,
-                "depth_r": verdict.depth_r}
-    return {"type": "counterexample", "t": str(verdict.t), "r": str(verdict.r),
-            "lhs": format_scalar(verdict.lhs), "rhs": format_scalar(verdict.rhs)}
+        return {"type": "verified_up_to", **_fields(verdict, "depth_t", "depth_r")}
+    return {"type": "counterexample", **_fields(verdict, "t", "r", "lhs", "rhs")}
 
 
 def cmd_ball(args) -> int:
@@ -155,10 +159,8 @@ def cmd_ball(args) -> int:
 
 
 def _csv_text(rows) -> str:
-    import io
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -166,9 +168,8 @@ def cmd_orbit(args) -> int:
     family = _build_family(args)
     x = _parse_point(args, family)
     ball = orbit_ball(family, x, args.n, node_cap=args.node_cap)
-    rows = [["word", "value"]]
-    for word, value in ball.items():
-        rows.append([str(word), format_scalar(value)])
+    rows = [["word", "value"]] + [[str(word), format_scalar(value)]
+                                  for word, value in ball.items()]
     _emit(args, _csv_text(rows))
     return EXIT_OK
 
@@ -186,9 +187,8 @@ def cmd_fixed(args) -> int:
     family = _build_family(args)
     out: dict = {"model": args.model}
     if args.model == "circle" and args.subgroup is None and args.x is None:
-        verdict = circle_mod.fixed_set(family)
-        out["set"] = {"kind": verdict.kind, "witness_index": verdict.witness_index,
-                      "certified": verdict.certified}
+        out["set"] = _fields(circle_mod.fixed_set(family),
+                             "kind", "witness_index", "certified")
     elif args.model == "bank" and args.subgroup is None and args.x is None:
         # every rate exceeds 1, so no positive deposit is fixed by any map
         out["set"] = {"kind": "empty", "reason": "all rates exceed 1"}
@@ -196,9 +196,8 @@ def cmd_fixed(args) -> int:
         x = _parse_point(args, family)
         spec = parse_subgroup(args.subgroup, family.n_gens)
         verdict = is_h_fixed(family, spec, x, args.depth, node_cap=args.node_cap)
-        out["point"] = format_scalar(x)
-        out["subgroup"] = str(spec)
-        out["verdict"] = _verdict_dict(verdict)
+        out.update(point=format_scalar(x), subgroup=str(spec),
+                   verdict=_verdict_dict(verdict))
     else:
         x = _parse_point(args, family)
         out["point"] = format_scalar(x)
@@ -210,60 +209,60 @@ def cmd_fixed(args) -> int:
 
 def cmd_periodic(args) -> int:
     family = _build_family(args)
-    spec = parse_subgroup(args.subgroup, family.n_gens) if args.subgroup \
-        else None
-    if spec is None:
-        raise _UsageError("periodic needs --subgroup")
+    spec = parse_subgroup(args.subgroup, family.n_gens)
     out: dict = {"model": args.model, "subgroup": str(spec)}
     if args.x is not None:
         x = _parse_point(args, family)
         verdict = is_h_periodic(family, spec, x, args.depth_t, args.depth_r,
                                 node_cap=args.node_cap)
-        out["point"] = format_scalar(x)
-        out["verdict"] = _verdict_dict(verdict)
+        out.update(point=format_scalar(x), verdict=_verdict_dict(verdict))
     elif args.model == "bank":
-        result = bank_mod.classify_periodicity(
-            [Fraction(r) for r in family.rates], spec, args.depth,
-            node_cap=args.node_cap)
-        out["set"] = {"kind": result.kind,
-                      "witness": None if result.witness is None else str(result.witness),
-                      "multiplier": None if result.multiplier is None
-                      else format_scalar(result.multiplier),
-                      "depth": result.depth}
+        result = bank_mod.classify_periodicity(family.rates, spec, args.depth,
+                                               node_cap=args.node_cap)
+        out["set"] = _fields(result, "kind", "witness", "multiplier", "depth")
     elif args.model == "circle":
         verdict = circle_mod.periodic_set(family, spec, args.depth,
                                           node_cap=args.node_cap)
-        out["set"] = {"kind": verdict.kind,
-                      "witness": None if verdict.witness is None else str(verdict.witness),
-                      "rotation": None if verdict.rotation is None
-                      else format_scalar(verdict.rotation),
-                      "certified": verdict.certified, "note": verdict.note}
+        # the circle record's search depth is left out of its JSON
+        out["set"] = _fields(verdict, "kind", "witness", "rotation",
+                             "certified", "note")
     else:
         raise _UsageError("set-level classification needs --model bank or circle")
     _emit(args, json.dumps(out, indent=2))
     return EXIT_OK
 
 
+def _degree(text: str) -> int:
+    try:
+        q = int(text)
+    except ValueError as exc:
+        raise _UsageError(f"bad degree {text!r}") from exc
+    if q < 4 or q % 2:
+        raise _UsageError(f"degree must be an even integer >= 4, got {text!r}")
+    return q
+
+
+# option -> (runner keyword, parser) for each paper item; the rest read none
+_PAPER_OPTIONS = {
+    "ex3.9": {"q": ("q", _degree), "nmax": ("n_max", int)},
+    **{f"prop5.{i}": {"q": ("rates", _scalars)} for i in range(1, 5)},
+    **{f"thm6.{i}": {"theta": ("angles", _scalars)} for i in range(1, 4)},
+}
+
+
 def cmd_paper(args) -> int:
+    reads = _PAPER_OPTIONS.get(args.item, {})
     kwargs = {}
-    if args.item == "ex3.9":
-        if args.q:
-            try:
-                kwargs["q"] = int(args.q)
-            except ValueError as exc:
-                raise _UsageError(f"bad degree {args.q!r}") from exc
-            if kwargs["q"] < 4 or kwargs["q"] % 2:
-                raise _UsageError(f"degree must be an even integer >= 4, got {args.q!r}")
-        if args.nmax is not None:
-            kwargs["n_max"] = args.nmax
-    elif args.item in ("prop5.1", "prop5.2", "prop5.3", "prop5.4") and args.q:
-        kwargs["rates"] = [parse_rational(p) for p in args.q.split(",")]
-    elif args.item in ("thm6.2", "thm6.3") and args.theta:
-        kwargs["angles"] = [parse_rational(p) for p in args.theta.split(",")]
+    for option in ("q", "theta", "nmax"):
+        text = getattr(args, option)
+        if text is not None:
+            if option not in reads:
+                raise _UsageError(f"paper --item {args.item} does not read --{option}")
+            keyword, parse = reads[option]
+            kwargs[keyword] = parse(text)
     items = repro.run_all() if args.item == "all" \
         else [repro.run_item(args.item, **kwargs)]
-    lines = [item.render() for item in items]
-    _emit(args, "\n".join(lines))
+    _emit(args, "\n".join(item.render() for item in items))
     failed = [item.item for item in items if not item.passed]
     if failed:
         print(f"failing items: {', '.join(failed)}", file=sys.stderr)
@@ -336,9 +335,9 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("paper", help="run the named reproduction suite")
     p.add_argument("--item", default="all", choices=("all",) + repro.ITEM_IDS)
-    p.add_argument("--q", help="rates/degree override where the item takes one")
-    p.add_argument("--theta", help="angles override where the item takes one")
-    p.add_argument("--nmax", type=_POSITIVE, default=None)
+    p.add_argument("--q", help="degree for ex3.9, rates for prop5.1-prop5.4")
+    p.add_argument("--theta", help="angles for thm6.1-thm6.3")
+    p.add_argument("--nmax", type=_POSITIVE, help="largest radius for ex3.9")
     _add_common(p)
     p.set_defaults(func=cmd_paper)
 
@@ -359,22 +358,23 @@ def _parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
+        args = _parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``mdtds paper | head -1``): stop
+        # quietly, with fd 1 on devnull so the final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    except MdtdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WordSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(exc, ResourceLimitError):
+            return EXIT_RESOURCE
+        return EXIT_DOMAIN if isinstance(exc, EvaluationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +162,117 @@ class TestVerdicts:
         assert json.loads(json.dumps(verdict)) == verdict
 
 
+# Exact stdout of verdict commands: key order, indentation, rationals as
+# ``p/q`` text and floats as their shortest round-trip ``repr``.
+VERDICT_JSON = [
+    ("fixed --model circle --theta 1/2,1/3", """\
+{
+  "model": "circle",
+  "set": {
+    "kind": "empty",
+    "witness_index": 1,
+    "certified": true
+  }
+}
+"""),
+    ("fixed --model bank --q 2,3 --x 1", """\
+{
+  "model": "bank",
+  "point": "1",
+  "residual": "2",
+  "fixed": false
+}
+"""),
+    ("fixed --model circle --theta 1/3,1/5 --subgroup even:1,2 --x 1/7 --depth 5", """\
+{
+  "model": "circle",
+  "point": "1/7",
+  "subgroup": "even:1,2",
+  "verdict": {
+    "type": "counterexample",
+    "t": "e",
+    "r": "s1^2",
+    "lhs": "1/7",
+    "rhs": "17/21"
+  }
+}
+"""),
+    ("fixed --model circle --theta 0.2,0.3:approx --x 0.1 --subgroup cyclic:s1 "
+     "--depth 2", """\
+{
+  "model": "circle",
+  "point": "0.1",
+  "subgroup": "cyclic:s1",
+  "verdict": {
+    "type": "counterexample",
+    "t": "e",
+    "r": "s1",
+    "lhs": "0.1",
+    "rhs": "0.30000000000000004"
+  }
+}
+"""),
+    ("periodic --model bank --q 2,3 --subgroup even:1,2 --depth 5", """\
+{
+  "model": "bank",
+  "subgroup": "even:1,2",
+  "set": {
+    "kind": "empty",
+    "witness": "s1^2",
+    "multiplier": "4",
+    "depth": null
+  }
+}
+"""),
+    ("periodic --model circle --theta 0.5,0.3:approx --subgroup cyclic:s1^2 --depth 3", """\
+{
+  "model": "circle",
+  "subgroup": "cyclic:s1^2",
+  "set": {
+    "kind": "undecided",
+    "witness": null,
+    "rotation": null,
+    "certified": false,
+    "note": "generator rotation is integral at tolerance only"
+  }
+}
+"""),
+    ("periodic --model circle --theta 0.5,0.3:approx --subgroup cyclic:s1 --depth 3", """\
+{
+  "model": "circle",
+  "subgroup": "cyclic:s1",
+  "set": {
+    "kind": "empty",
+    "witness": "s1",
+    "rotation": "0.5",
+    "certified": false,
+    "note": ""
+  }
+}
+"""),
+    ("periodic --model circle --theta 1/2,1/3 --subgroup cyclic:s1 --x 1/5 "
+     "--depth-t 3 --depth-r 3", """\
+{
+  "model": "circle",
+  "subgroup": "cyclic:s1",
+  "point": "1/5",
+  "verdict": {
+    "type": "counterexample",
+    "t": "e",
+    "r": "s1",
+    "lhs": "1/5",
+    "rhs": "7/10"
+  }
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("command, expected", VERDICT_JSON)
+def test_verdict_json_bytes(capsys, command, expected):
+    assert run(capsys, *command.split())[:2] == (0, expected)
+
+
 class TestPaper:
     def test_single_item(self, capsys):
         code, out, _ = run(capsys, "paper", "--item", "thm6.1")
@@ -187,6 +301,24 @@ class TestPaper:
     def test_sign_study_at_radius_one(self):
         from mdtds import repro
         assert repro.run_item("ex3.9", n_max=1).passed
+
+    @pytest.mark.parametrize("argv", [
+        ("--item", "thm6.1", "--q", "5"),
+        ("--item", "ex3.9", "--theta", "1/3"),
+        ("--item", "thm6.2", "--q", "2,3"),
+        ("--item", "prop5.1", "--nmax", "3"),
+        ("--item", "ex4.4", "--q", "2,3"),
+        ("--item", "all", "--q", "4"),
+    ])
+    def test_refuses_an_option_the_item_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, "paper", *argv)
+        assert code == 1 and out == ""
+        assert err.count("error: ") == 1 and err.startswith("error: ")
+
+    def test_fixed_set_item_reads_the_angles(self, capsys):
+        code, out, _ = run(capsys, "paper", "--item", "thm6.1", "--theta", "1,1/3")
+        assert code == 0 and out.startswith("PASS")
+        assert "non-integer angle (index 2)" in out
 
     def test_all_items_pass(self, capsys):
         code, out, _ = run(capsys, "paper")
@@ -271,6 +403,39 @@ class TestOutputFile:
                            "--output", str(target))
         assert code == 0 and out == ""
         assert len(target.read_text().strip().splitlines()) == 6
+
+
+class TestClosedStdout:
+    """A reader that stops early (``mdtds paper | head -1``) ends the
+    command quietly with exit 0, whether the lost output was written during
+    the command or was still buffered when it returned."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ("info",),
+        ("paper", "--item", "thm6.1"),
+        ("ball", "--s", "2", "--n", "1"),
+    ])
+    def test_exit_zero_without_a_traceback(self, argv, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # buffered, the output is lost at the flush after the command;
+        # unbuffered, at the write inside it
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mdtds.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestRepeatedCalls:
