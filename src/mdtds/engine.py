@@ -410,11 +410,9 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
 
 @dataclass(frozen=True)
 class Ray:
-    """A strictly increasing word sequence: prefix * period^k for k = 1, 2, ...
-
-    ``words`` validates monotonicity in the geodesic prefix order and raises
-    WordSyntaxError when a step cancels instead of extending.
-    """
+    """The words prefix * period^k, k = 1, 2, ..., strictly increasing unless
+    a seam cancels (``_cancels``): prefix with period at step 1, period with
+    itself from step 2.  ``_ray_values`` checks both seams once."""
 
     period: Word
     prefix: Optional[Word] = None
@@ -425,31 +423,30 @@ class Ray:
         if self.prefix is not None and self.prefix.n_gens != self.period.n_gens:
             raise WordSyntaxError("ray prefix and period over different groups")
 
-    def words(self, steps: int) -> Iterator[Word]:
-        current = self.prefix if self.prefix is not None \
-            else Word.identity(self.period.n_gens)
-        for _ in range(steps):
-            nxt = current * self.period
-            if not current.is_prefix_of(nxt) or nxt == current:
-                raise WordSyntaxError(
-                    f"ray is not strictly increasing at {current} -> {nxt}")
-            yield nxt
-            current = nxt
+
+def _cancels(left: Word, right: Word) -> bool:
+    """True iff left's last letter is the inverse of right's first: a product
+    of reduced words is reduced exactly when nothing cancels at this seam."""
+    return bool(left.runs and right.runs) and \
+        left.last_letter() == right.first_letter().inverse()
 
 
 def _ray_values(family: MapFamily, x: Scalar, ray: Ray, steps: int):
-    """Values along the ray, one period application per step.
+    """Yield the values at the first ``steps`` ray words, lazily.
 
-    D_{prefix * period^k}(x) = D_prefix((D_period)^k(x)), so the inner value
-    is iterated and the prefix applied on top.
+    D_{prefix * period^k}(x) = D_prefix((D_period)^k(x)): each step applies
+    the period once and puts the prefix on top, so the cost is linear in
+    ``steps`` and no ray word is built.  The two seams are checked once;
+    WordSyntaxError comes just before the first step whose word would cancel.
     """
-    inner = x
-    out = []
-    prefix = ray.prefix
-    for _word in ray.words(steps):  # the generator validates monotonicity
-        inner = evaluate(family, ray.period, inner)
-        out.append(inner if prefix is None else evaluate(family, prefix, inner))
-    return out
+    period, prefix = ray.period, ray.prefix
+    stop = 1 if prefix is not None and _cancels(prefix, period) \
+        else 2 if _cancels(period, period) else None
+    for step in range(1, steps + 1):
+        if step == stop:
+            raise WordSyntaxError(f"ray is not strictly increasing at step {step}")
+        x = evaluate(family, period, x)
+        yield x if prefix is None else evaluate(family, prefix, x)
 
 
 @dataclass(frozen=True)
@@ -487,22 +484,24 @@ def omega_sample(family: MapFamily, x: Scalar, ray, steps: int,
     ray.  On an unbounded domain, values exceeding ``divergence_bound`` in
     absolute size mark the ray divergent and no clusters are reported.
     ``ray`` is a :class:`Ray` or an iterable of signed letters (an explicit
-    letter stream, evaluated prefix by prefix).
+    letter stream).  A Ray increases unless a seam cancels, checked once, at
+    a cost linear in ``steps``.  A letter stream evaluates each prefix from
+    scratch, as the new letter acts first: for maps that do not commute,
+    that quadratic cost cannot be avoided.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x = family.coerce_point(x)
     if isinstance(ray, Ray):
-        values = _ray_values(family, x, ray, steps)
+        values = list(_ray_values(family, x, ray, steps))
     else:
-        letters = list(itertools.islice(iter(ray), steps))
         word = Word.identity(family.n_gens)
         values = []
-        for letter in letters:
-            extended = word * Word.letter(family.n_gens, letter.gen, letter.sign)
-            if not word.is_prefix_of(extended) or extended == word:
+        for letter in list(itertools.islice(iter(ray), steps)):
+            step = Word.letter(family.n_gens, letter.gen, letter.sign)
+            if _cancels(word, step):
                 raise WordSyntaxError("letter stream backtracks")
-            word = extended
+            word = word * step
             values.append(evaluate(family, word, x))
     if not family.domain.bounded and any(abs(v) > divergence_bound for v in values):
         return OmegaSample((), True, len(values))
@@ -520,8 +519,9 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
     word and its inverse; otherwise the first ``max_rays`` members of
     V_ray_depth and their inverses.  True means some sampled sequence entered
     the eps-ball of x_periodic within ``steps``; False means not found at
-    these bounds (never a proof of absence).  Rays that stop increasing, or
-    that cannot be evaluated in exact mode, are skipped.
+    these bounds (never a proof of absence).  Each ray runs through
+    ``_ray_values`` (seams checked once, cost linear in ``steps``); rays that
+    stop increasing or cannot be evaluated in exact mode are skipped.
     """
     if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
         raise WordSyntaxError("subgroup and family sizes differ")
@@ -538,12 +538,10 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
         known = set(seeds)
         seeds += [w.inverse() for w in seeds if w.inverse() not in known]
     for seed in seeds:
-        value = y
         try:
-            for _word in Ray(seed).words(steps):  # raises once a step cancels
-                value = evaluate(family, seed, value)
-                if abs(value - x_periodic) <= eps:
-                    return True
+            if any(abs(value - x_periodic) <= eps
+                   for value in _ray_values(family, y, Ray(seed), steps)):
+                return True
         except (EvaluationError, WordSyntaxError):
             continue
     return False

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mdtds import ball_enumerate, ball_size, cli
+from mdtds import CyclicSubgroup, ball_enumerate, ball_size, circle, cli
+from mdtds.circle import PeriodicSetVerdict
 from mdtds.cli import build_parser, main
 
 
@@ -319,6 +320,30 @@ class TestPaper:
         code, out, _ = run(capsys, "paper", "--item", "thm6.1", "--theta", "1,1/3")
         assert code == 0 and out.startswith("PASS")
         assert "non-integer angle (index 2)" in out
+
+    @pytest.mark.parametrize("theta", ["1/3,1/4", "1,2", "1/4", "2/3,1/5,1/7"])
+    @pytest.mark.parametrize("item", ["thm6.1", "thm6.2", "thm6.3"])
+    def test_rotation_items_check_the_given_angles(self, capsys, item, theta):
+        code, out, err = run(capsys, "paper", "--item", item, "--theta", theta)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"PASS [{item}]") and "BAD" not in out
+
+    @pytest.mark.parametrize("theta", [(), ("--theta", "1/3,1/4"),
+                                       ("--theta", "1,2")])
+    @pytest.mark.parametrize("item, name, wrong", [
+        # every verdict flipped between full and empty
+        ("thm6.2", "periodic_set", lambda answer: lambda *args: PeriodicSetVerdict(
+            "empty" if answer(*args).kind == "full" else "full")),
+        # s1^(2m): still fully periodic, but not the generator the theory names
+        ("thm6.3", "rational_period_subgroup", lambda answer: lambda family, gen:
+            CyclicSubgroup(answer(family, gen).generator_word ** 2)),
+    ])
+    def test_rotation_items_fail_on_a_wrong_library_answer(
+            self, capsys, monkeypatch, item, name, wrong, theta):
+        monkeypatch.setattr(circle, name, wrong(getattr(circle, name)))
+        code, out, err = run(capsys, "paper", "--item", item, *theta)
+        assert code == 0 and out.startswith(f"FAIL [{item}]")
+        assert f"failing items: {item}" in err
 
     def test_all_items_pass(self, capsys):
         code, out, _ = run(capsys, "paper")

@@ -9,15 +9,16 @@ from mdtds import (BankFamily, Balanced, CallableMapFamily, CircleFamily,
                    Counterexample,
                    CyclicSubgroup, Domain, DomainViolationError,
                    EvaluationError, EvenCount, ExactnessError, FullGroup,
-                   KernelSubgroup, Ray,
+                   KernelSubgroup, OmegaSample, Ray,
                    ResourceLimitError, SignedLetter, VerifiedUpTo, Word,
                    WordSyntaxError, affine_and_square_family, ball_enumerate,
-                   ball_size, evaluate,
+                   ball_size, cluster_values, evaluate,
                    fixed_point_residual, identity_family, is_fixed,
                    is_h_fixed, is_h_periodic, omega_sample, orbit_ball,
                    parse_subgroup, stable_set_check, subgroup_ball)
 
-from conftest import RecordingFullGroup, W, random_fraction, random_word
+from conftest import (RecordingFullGroup, W, random_fraction, random_word,
+                      words_strategy)
 
 
 @pytest.fixture
@@ -632,6 +633,175 @@ class TestStableSet:
         spec = CyclicSubgroup(W("s1^2"))
         # the sampled orbit of 0.2 under integer rotations stays at 0.2
         assert not stable_set_check(family, spec, F(0), F(1, 5), 50, F(1, 10))
+
+
+# Reference rule for rays: build every ray word prefix * period^k, require
+# it to extend the word before (is_prefix_of), then evaluate the step's value.
+def _ray_by_words(family, x, ray, steps):
+    current = ray.prefix if ray.prefix is not None \
+        else Word.identity(ray.period.n_gens)
+    for _ in range(steps):
+        word = current * ray.period
+        if not current.is_prefix_of(word) or word == current:
+            raise WordSyntaxError(f"ray is not strictly increasing at {word}")
+        current = word
+        x = evaluate(family, ray.period, x)
+        yield x if ray.prefix is None else evaluate(family, ray.prefix, x)
+
+
+def _stream_by_words(family, x, letters):
+    word = Word.identity(family.n_gens)
+    for letter in letters:
+        extended = word * Word.letter(family.n_gens, letter.gen, letter.sign)
+        if not word.is_prefix_of(extended) or extended == word:
+            raise WordSyntaxError("letter stream backtracks")
+        word = extended
+        yield evaluate(family, word, x)
+
+
+def _omega_by_words(family, x, values_of, steps, eps):
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    x = family.coerce_point(x)
+    values = list(values_of(x))
+    if not family.domain.bounded and any(abs(v) > 10 ** 9 for v in values):
+        return OmegaSample((), True, len(values))
+    tail = values[len(values) // 2:] or values
+    return OmegaSample(cluster_values(tail, eps), False, len(values))
+
+
+def _stable_by_words(family, x_periodic, y, period, steps, eps):
+    x_periodic, y = family.coerce_point(x_periodic), family.coerce_point(y)
+    if abs(y - x_periodic) <= eps:
+        return True
+    for seed in (period, period.inverse()):
+        try:
+            for value in _ray_by_words(family, y, Ray(seed), steps):
+                if abs(value - x_periodic) <= eps:
+                    return True
+        except (EvaluationError, WordSyntaxError):
+            continue
+    return False
+
+
+def _counted(family, call):
+    """The result or exception type of ``call`` (with an evaluation error's
+    text) and the map applications it made, which fix the step reached."""
+    family.reset_counter()
+    try:
+        result = call()
+    except (EvaluationError, ValueError) as exc:
+        result = type(exc), str(exc) if isinstance(exc, EvaluationError) else None
+    return result, family.apply_calls
+
+
+# kind -> (family on n generators, points, longest drawn word); exact squaring
+# doubles denominator digits, so its words stay short
+RAY_FAMILIES = {
+    "circle exact": (lambda n: CircleFamily([F(1, 3), F(2, 7), F(1, 4)][:n]),
+                     _exact_circle, 4),
+    "bank": (lambda n: BankFamily([F(3, 2), 4, F(7, 5)][:n]), _positive, 4),
+    "affine/square exact": (lambda n: affine_and_square_family(), _exact_unit, 2),
+    "affine/square float": (lambda n: affine_and_square_family(exact=False),
+                            st.floats(0, 1), 4),
+}
+
+
+@st.composite
+def ray_cases(draw):
+    kind = draw(st.sampled_from(sorted(RAY_FAMILIES)))
+    make, points, longest = RAY_FAMILIES[kind]
+    n = make(draw(st.integers(1, 3))).n_gens
+    period = draw(words_strategy(n, longest).filter(lambda w: not w.is_identity))
+    prefix = draw(st.sampled_from([None, Word.identity(n)])
+                  | words_strategy(n, longest))
+    letters = draw(st.lists(st.integers(0, 2 * n - 1), max_size=6))
+    return (kind, n, draw(points), draw(points), period, prefix,
+            [SignedLetter.from_index(i) for i in letters], draw(st.integers(0, 6)))
+
+
+class TestRaysAgainstEveryWord:
+    """omega_sample and stable_set_check against building every ray word."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(ray_cases())
+    # the prefix cancels with the period: refused before any step
+    @example(("bank", 2, F(1), F(2), W("s1"), W("s1^-1"), [], 3))
+    # the period cancels with itself: refused at step 2
+    @example(("circle exact", 2, F(0), F(2, 3), W("s1 s2 s1^-1"), None, [], 4))
+    # the first step leaves the domain: the EvaluationError wins
+    @example(("affine/square exact", 2, F(0), F(1), W("s1 s2^-1 s1^-1"),
+              None, [], 3))
+    @example(("affine/square exact", 2, F(1, 2), F(1), W("s2^-1"), W("s1"),
+              [SignedLetter(2, -1), SignedLetter(1, 1)], 2))  # ExactnessError
+    @example(("affine/square float", 2, 0.125, 1.0, W("s1^-1"), None,
+              [SignedLetter(1, 1), SignedLetter(1, -1)], 2))
+    def test_same_outcome_at_the_same_step(self, case):
+        kind, n, x, target, period, prefix, letters, steps = case
+        family = RAY_FAMILIES[kind][0](n)
+        ray, eps = Ray(period, prefix), F(1, 10)
+        assert _counted(family, lambda: omega_sample(family, x, ray, steps, eps)) \
+            == _counted(family, lambda: _omega_by_words(
+                family, x, lambda v: _ray_by_words(family, v, ray, steps),
+                steps, eps))
+        assert _counted(family, lambda: omega_sample(family, x, letters, steps,
+                                                     eps)) \
+            == _counted(family, lambda: _omega_by_words(
+                family, x, lambda v: _stream_by_words(family, v, letters[:steps]),
+                steps, eps))
+        assert _counted(family, lambda: stable_set_check(
+            family, CyclicSubgroup(period), target, x, steps, eps)) \
+            == _counted(family, lambda: _stable_by_words(
+                family, target, x, period, steps, eps))
+
+    def test_a_seed_that_cancels_with_itself_gets_its_first_step(self):
+        # s1 s2 s1^-1 rotates by 1/5 and its inverse by -1/5; both stop at
+        # step 2, so 1/5 is reached at step 1 and 2/5 is never reached
+        family = CircleFamily([F(1, 4), F(1, 5)])
+        spec = CyclicSubgroup(W("s1 s2 s1^-1"))
+        assert stable_set_check(family, spec, F(1, 5), F(0), 5, F(1, 100))
+        family.reset_counter()
+        assert not stable_set_check(family, spec, F(2, 5), F(0), 5, F(1, 100))
+        assert family.apply_calls == 2 * 3  # one step of three runs per seed
+
+    def test_a_first_step_that_fails_wins_over_the_later_seam(self, fam44):
+        # s1^-1 takes 0 to -1/3 before step 2 would cancel s1^-1 against s1
+        with pytest.raises(DomainViolationError,
+                           match="at -1/3 while evaluating s1 s2\\^-1 s1\\^-1"):
+            omega_sample(fam44, F(0), Ray(W("s1 s2^-1 s1^-1")), 3, F(1, 100))
+
+    def test_zero_steps_evaluate_nothing(self, fam44):
+        fam44.reset_counter()
+        assert not stable_set_check(fam44, CyclicSubgroup(W("s1 s2 s1^-1")),
+                                    F(1), F(0), 0, F(1, 100))
+        assert fam44.apply_calls == 0
+
+
+def test_rays_build_no_ray_word(monkeypatch):
+    """Two seams decide a ray: no prefix test and no word past prefix + period."""
+    built, prefix_tests = [], []
+    multiply, is_prefix_of = Word.__mul__, Word.is_prefix_of
+
+    def recording_multiply(self, other):
+        product = multiply(self, other)
+        built.append(product.length)
+        return product
+
+    def recording_is_prefix_of(self, other):
+        prefix_tests.append((self, other))
+        return is_prefix_of(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", recording_multiply)
+    monkeypatch.setattr(Word, "is_prefix_of", recording_is_prefix_of)
+    family = CircleFamily([F(1, 3), F(1, 5)])
+    prefix, period = W("s2"), W("s1 s2")
+    sample = omega_sample(family, F(1, 7), Ray(period, prefix=prefix), 2000,
+                          F(1, 100))
+    assert sample.samples == 2000
+    assert not stable_set_check(family, CyclicSubgroup(period), F(0), F(1, 7),
+                                2000, 1e-9)
+    assert prefix_tests == []
+    assert max(built, default=0) <= prefix.length + period.length
 
 
 @pytest.mark.parametrize("verdict", [
