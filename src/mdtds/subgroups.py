@@ -14,7 +14,10 @@ Families (over a group on ``n_gens`` generators):
 * ``IntersectionSubgroup(parts)``: conjunction of the above.
 
 Membership is purely syntactic per family; there is no general membership
-test for arbitrary finitely generated subgroups.
+test for arbitrary finitely generated subgroups.  Searches get a subgroup's
+members from one pruned walk of the ball (``_members``) that runs a
+left-action automaton per part, a folded Stallings graph for a cyclic part,
+and tests no word; the ``member`` methods are the independent oracle.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError, WordSyntaxError
-from .words import (DEFAULT_NODE_CAP, Word, _ball_key, _reduce,
-                    _zero_sum_words, check_ball_cap)
+from .words import DEFAULT_NODE_CAP, Word, _reduce, alphabet, check_ball_cap
 
 
 @dataclass(frozen=True)
@@ -281,84 +283,140 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
     return False
 
 
+def _automaton(part: SubgroupSpec) -> tuple:
+    """``(start, step)`` of a part's left action, as ``_members`` reads it:
+    ``step(state, letter)`` is ``(state, need)`` after prepending ``letter``,
+    or None when the state is dead."""
+    if isinstance(part, EvenCount):
+        indices = part.indices
+
+        def step(parity, letter):
+            parity ^= letter.gen in indices
+            return parity, parity
+        return 0, step
+    if isinstance(part, KernelSubgroup):
+        kept = part.kept
+        if len(kept) == part.n_gens:
+            # the image is the word itself, and no word below the root is e
+            return None, lambda image, letter: None
+
+        def step(image, letter):
+            if letter.gen in kept:
+                image = image.prepend(letter)
+            return image, image.length
+        return Word.identity(part.n_gens), step
+    if isinstance(part, CyclicSubgroup):
+        u_len, v_len = part._lengths
+        stem = (u_len - v_len) // 2  # |c| for u = c v c^-1
+        # vertices met reading u from the base 0: c out to ``stem``, the
+        # cycle v back to it, then c^-1 home; vertex i is min(i, |u| - i)
+        # letters from the base
+        path = [*range(stem + v_len), stem, *range(stem - 1, -1, -1)]
+        moves = [{} for _ in range(stem + v_len)]
+        for (gen, sign), a, b in zip(part.generator_word.letters(), path, path[1:]):
+            # prepending a letter to w reads its inverse at the end of w^-1
+            moves[a][gen, -sign] = b, min(b, u_len - b)
+            moves[b][gen, sign] = a, min(a, u_len - a)
+
+        def step(vertex, letter):
+            return moves[vertex].get(letter)
+        return 0, step
+    raise TypeError(f"no member walk for {type(part).__name__}")
+
+
+def _product(automata: list) -> tuple:
+    """The automata side by side: dead when one is, with the largest need."""
+    steps = [step for _, step in automata]
+
+    def step(states, letter):
+        got = [part_step(state, letter) for part_step, state in zip(steps, states)]
+        if None in got:
+            return None
+        return tuple(state for state, _ in got), max(need for _, need in got)
+    return tuple(start for start, _ in automata), step
+
+
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     """Members other than e in V_radius, streamed in ``ball_enumerate`` order.
 
-    The spec's parts, read once with nested intersections flattened, pick how
-    they are found; each way yields the same words in the same order:
+    One preorder walk of the ball carries, for each word ``w``, the states
+    of a left-action automaton per part of the spec (nested intersections
+    flattened) and ``need``, a lower bound on the letters still to prepend
+    to reach a member, 0 exactly at one.  A subtree whose state is dead or
+    with ``|w| + need > radius`` is skipped unvisited, and the words with
+    ``need == 0`` are yielded; no ``member`` test runs.  The automata:
 
-    * with a cyclic part, the first one's powers ``u^n`` and ``u^-n`` that fit
-      in the ball are listed and kept when every other part holds them (each
-      is a member of the cyclic part, so that part never tests them):
-      O(radius / |v|) words for ``u = c v c^-1``, not the whole ball;
-    * otherwise ``words._zero_sum_words`` walks the ball, skipping every
-      subtree that holds no word with exponent sum zero on the generators of
-      the balanced and kernel parts (a kernel member erases to e on its kept
-      generators, so their sums are zero too; full and even-count parts fix
-      none), and the words it yields are tested against the spec.
+    * ``full``: one state;
+    * ``even:I``: the parity of the letters in I;
+    * ``bal:`` parts and the kept generators of ``ker:`` parts: one
+      exponent-sum vector over all their indices, inline in the walk, with
+      ``need`` its L1 norm (a prepended letter moves one sum by one);
+    * ``ker:K``: the reduced image on K, with ``need`` its length; dead below
+      the root when K keeps every generator;
+    * ``cyclic:u`` with ``u = c v c^-1``: the vertex reached by reading
+      ``w^-1`` from the base of the folded Stallings graph of ``<u>``, the
+      path c and then the cycle v, with ``need`` its distance to the base
+      and a missing edge dead; at most ``1 + 2 * radius`` words are visited,
+      plus ``|c|`` per member.
 
-    Each way counts the root and every word it builds or visits, and raises
-    ResourceLimitError once the count passes ``node_cap`` (a cap below 1
-    refuses the root), so a search that stops at a witness has done only the
-    work up to it.
+    Several automata run as their product, with ``need`` the largest.  The
+    root and each visited word count against ``node_cap``, and past it
+    ResourceLimitError is raised (a cap below 1 refuses the root), so a
+    search that stops at a witness has done only the work up to it.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if node_cap < 1:
         raise ResourceLimitError(1, node_cap)
-    parts = _parts(spec)
-    cyclic = next((p for p in parts if isinstance(p, CyclicSubgroup)), None)
-    if cyclic is not None:
-        powers = _listed_members(cyclic, radius, node_cap)
-        others = tuple(p for p in parts if p is not cyclic)
-        yield from (filter(IntersectionSubgroup(others).member, powers)
-                    if others else powers)
-    else:
-        fixed = frozenset().union(*(
-            p.indices if isinstance(p, Balanced) else p.kept
-            for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
-        yield from filter(spec.member, _zero_sum_words(
-            radius, spec.n_gens, fixed, node_cap))
-
-
-def _listed_members(cyclic: CyclicSubgroup, radius: int,
-                    node_cap: int) -> Iterator[Word]:
-    """The powers of ``cyclic`` other than e within the ball, in ball order.
-
-    With ``u = c v c^-1`` and ``v`` cyclically reduced, ``u^n`` read from the
-    right end is ``c^-1``, then ``v`` n times, then ``c``.  So ``u^n`` and
-    ``u^(n+1)`` part where one goes on with ``c`` and the other with ``v``,
-    at letters that do not depend on ``n``: the positive powers come in ball
-    order either all ascending or all descending in ``n``, and so do the
-    negative ones.  ``u^n`` and ``u^-m`` part at the first letters of ``v``
-    and ``v^-1`` read from the right, so one sign comes wholly first.  The
-    three comparisons are made once on ``u``, ``u^2``, ``u^-1`` and ``u^-2``
-    with ``words._ball_key``.  A descending sign builds its powers before it
-    yields the largest; each power counts against ``node_cap`` when built,
-    after the root.
-    """
-    u_len, v_len = cyclic._lengths
-    top = (radius - u_len) // v_len + 1 if radius >= u_len else 0
-    count = 1  # the root
-    if not top:
-        return
-    u, u_inv = cyclic.generator_word, cyclic.generator_word.inverse()
-    signs = [(u, _ball_key(u) < _ball_key(u * u)),
-             (u_inv, _ball_key(u_inv) < _ball_key(u_inv * u_inv))]
-    if _ball_key(u_inv) < _ball_key(u):
-        signs.reverse()
-    for base, ascending in signs:
-        built, power = [], None
-        for _ in range(top):
-            power = base if power is None else power * base
-            count += 1
-            if count > node_cap:
-                raise ResourceLimitError(count, node_cap)
-            if ascending:
-                yield power
-            else:
-                built.append(power)
-        yield from reversed(built)
+    n_gens, parts = spec.n_gens, _parts(spec)
+    summed = frozenset().union(*(
+        p.indices if isinstance(p, Balanced) else p.kept
+        for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
+    automata = [_automaton(p) for p in parts
+                if not isinstance(p, (FullGroup, Balanced))]
+    start, step = (automata[0] if len(automata) == 1 else
+                   _product(automata) if automata else (None, None))
+    # per letter in descending index order, so that the stack pops children
+    # in ascending order: index, letter, gen, sign, one-letter runs, summed?
+    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),),
+              letter.gen in summed)
+             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
+    # entries: runs, length, exponent sums by generator (slot 0 unused),
+    # their L1 norm, and the automaton's (state, need)
+    at_start = (start, 0)
+    stack = [((), 0, (0,) * (n_gens + 1), 0, at_start)]
+    count = 0
+    while stack:
+        runs, depth, sums, off, (state, need) = stack.pop()
+        count += 1
+        if count > node_cap:
+            raise ResourceLimitError(count, node_cap)
+        if not (off or need) and depth:
+            yield Word(n_gens, runs, depth)
+        if depth == radius:
+            continue
+        # the root has no head: generator 0 blocks and merges with no letter
+        head_gen, head_exp = runs[0] if runs else (0, 0)
+        blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
+        tail = runs[1:]
+        depth += 1
+        room = radius - depth  # the largest need a child may have
+        for li, letter, gen, sign, run, in_summed in table:
+            if li == blocked:
+                continue
+            child_off = off
+            if in_summed:
+                child_off += -1 if sums[gen] * sign < 0 else 1
+            if child_off > room:
+                continue
+            got = at_start if step is None else step(state, letter)
+            if got is None or got[1] > room:
+                continue
+            child_sums = (sums[:gen] + (sums[gen] + sign,) + sums[gen + 1:]
+                          if in_summed else sums)
+            # the letter merges into a leading run of its generator
+            stack.append((((gen, head_exp + sign),) + tail if gen == head_gen
+                          else run + runs, depth, child_sums, child_off, got))
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,

@@ -369,8 +369,8 @@ def ball_enumerate(radius: int, n_gens: int, *,
     ``cli.cmd_ball`` rely on this and keep their parents' data in lists
     indexed by depth instead of looking it up by word.  Equivalently, words
     come in the order of their letter indices read from the right end (the
-    path from the root), a word before its extensions; ``_ball_key`` sorts
-    any set of words into this order.
+    path from the root), a word before its extensions; a pruned preorder
+    walk with the same child order (``subgroups._members``) keeps it.
 
     The root counts as the first node, so a cap below 1 refuses it too.
     """
@@ -415,67 +415,6 @@ def ball_enumerate(radius: int, n_gens: int, *,
                     child._length = depth
                     child.__class__ = Word
                     stack.append(node(BallNode, (child, word, letter)))
-
-
-def _zero_sum_words(radius: int, n_gens: int, fixed: frozenset,
-                    node_cap: int) -> Iterator[Word]:
-    """Words other than e in V_radius with exponent sum zero on ``fixed``.
-
-    The walk is ``ball_enumerate``'s, in the same order, without the
-    subtrees that hold no such word.  A prepended letter moves one sum by
-    one, so the words below ``w`` need at least ``off(w) = sum over fixed i
-    of |e_i(w)|`` more letters to reach zero: a subtree with ``|w| + off(w)
-    > radius`` is skipped unvisited, and only words with ``off(w) == 0``
-    are made into Words.  With ``fixed`` empty this is every word of the
-    ball.  The root and each visited word count against ``node_cap``, so a
-    cap below 1 refuses at the first pop.
-    """
-    # per letter, in descending index order as in ball_enumerate: index,
-    # generator, sign, one-letter runs, fixed?
-    table = [(li, letter.gen, letter.sign, ((letter.gen, letter.sign),),
-              letter.gen in fixed)
-             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
-    # entries: runs, length, exponent sums by generator (slot 0 unused), off
-    stack = [((), 0, (0,) * (n_gens + 1), 0)]
-    count = 0
-    while stack:
-        runs, depth, sums, off = stack.pop()
-        count += 1
-        if count > node_cap:
-            raise ResourceLimitError(count, node_cap)
-        if not off and depth:
-            yield Word(n_gens, runs, depth)
-        if depth == radius:
-            continue
-        # the root has no head: generator 0 blocks and merges with no letter
-        head_gen, head_exp = runs[0] if runs else (0, 0)
-        blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
-        tail = runs[1:]
-        depth += 1
-        room = radius - depth  # the largest off a child may have
-        for li, gen, sign, run, in_fixed in table:
-            if li == blocked:
-                continue
-            if in_fixed:
-                exp_sum = sums[gen]
-                child_off = off - 1 if exp_sum * sign < 0 else off + 1
-                if child_off > room:
-                    continue
-                child_sums = sums[:gen] + (exp_sum + sign,) + sums[gen + 1:]
-            else:
-                if off > room:
-                    continue
-                child_off, child_sums = off, sums
-            # the letter merges into a leading run of its generator
-            stack.append((((gen, head_exp + sign),) + tail if gen == head_gen
-                          else run + runs, depth, child_sums, child_off))
-
-
-def _ball_key(word: Word) -> list:
-    """Sort key that puts any words in ``ball_enumerate`` order: the letter
-    indices read from the right end, so a word comes before its extensions."""
-    return [2 * gen - (2 if exp > 0 else 1)
-            for gen, exp in reversed(word.runs) for _ in range(abs(exp))]
 
 
 def sphere_words(radius: int, n_gens: int, *,

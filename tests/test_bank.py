@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
-                   IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
+                   IntersectionSubgroup, KernelSubgroup,
                    WordSyntaxError, ball_size, ball_sum_brute,
                    ball_sum_product_formula, cesaro_limit,
                    classify_periodicity, discrepancy_table, evaluate,
@@ -137,9 +137,10 @@ class TestClassification:
         result = classify_periodicity((2, 3), EvenCount(2, frozenset([1, 2])),
                                       12, node_cap=1000)
         assert result.kind == "empty" and result.witness == W("s1^2")
-        with pytest.raises(ResourceLimitError):  # ker:1,2 on 2 generators is {e}
-            classify_periodicity((2, 3), KernelSubgroup(2, frozenset([1, 2])),
-                                 12, node_cap=1000)
+        # ker:1,2 on 2 generators is {e}: its walk visits only the root
+        result = classify_periodicity((2, 3), KernelSubgroup(2, frozenset([1, 2])),
+                                      12, node_cap=1000)
+        assert result.kind == "undecided" and result.depth == 12
 
     def test_undecided_when_no_witness_in_ball(self):
         # erasing every generator keeps only the identity word: the scan

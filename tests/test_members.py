@@ -1,9 +1,9 @@
-"""Subgroup members found by structure, against the whole-ball walk.
+"""Subgroup members found by one automaton walk, against the whole-ball walk.
 
-``subgroups._members`` lists the powers of a cyclic part and walks only the
-zero-exponent-sum part of the ball for balanced and kernel parts.  Every
+``subgroups._members`` walks the ball once, carrying a left-action automaton
+per part of the spec, and skips every subtree that holds no member.  Every
 test here compares it, or a verdict built on it, with the reference that
-tests each word ``ball_enumerate`` yields.
+tests each word ``ball_enumerate`` yields, or counts the words it visits.
 """
 import itertools
 from contextlib import ExitStack
@@ -23,7 +23,7 @@ from mdtds import (Balanced, BankFamily, CircleFamily, Counterexample,
 from mdtds import bank, circle, engine
 from mdtds.subgroups import _members, contained_in_fully_balanced
 
-from conftest import RecordingFullGroup, W, words_strategy
+from conftest import W, words_strategy
 
 CAP = 10 ** 8
 
@@ -34,15 +34,19 @@ def reference(spec, radius, node_cap=CAP):
                  if n.parent is not None and spec.member(n.word)])
 
 
-def specs(n_gens):
-    """Every spec kind, cyclic words ``c v^n c^-1`` and nested intersections."""
-    indices = st.sets(st.integers(1, n_gens), min_size=1).map(frozenset)
-    cyclic = st.builds(
+def cyclic_specs(n_gens):
+    """Cyclic subgroups of words ``c v^n c^-1``."""
+    return st.builds(
         lambda c, v, n: CyclicSubgroup(c * v ** n * c.inverse()),
         words_strategy(n_gens, 2),
         words_strategy(n_gens, 3).filter(lambda v: not v.is_identity),
         st.sampled_from([1, -1, 2, -2]))
-    parts = [st.just(FullGroup(n_gens)), cyclic,
+
+
+def specs(n_gens):
+    """Every spec kind, cyclic words ``c v^n c^-1`` and nested intersections."""
+    indices = st.sets(st.integers(1, n_gens), min_size=1).map(frozenset)
+    parts = [st.just(FullGroup(n_gens)), cyclic_specs(n_gens),
              st.builds(Balanced, st.just(n_gens), indices),
              st.builds(EvenCount, st.just(n_gens), indices)]
     if n_gens > 1:
@@ -128,24 +132,55 @@ class TestSameVerdicts:
             assert outcome(call) == by_reference(call)
 
 
+def zero_sum_gens(spec):
+    """The generators whose exponent sum is zero on every member, as read
+    from the spec's balanced and kernel parts."""
+    if isinstance(spec, IntersectionSubgroup):
+        return frozenset().union(*map(zero_sum_gens, spec.parts))
+    if isinstance(spec, Balanced):
+        return spec.indices
+    if isinstance(spec, KernelSubgroup):
+        return spec.kept
+    return frozenset()
+
+
 class TestWorkDone:
-    def test_cyclic_members_test_only_the_powers(self):
-        recorder = RecordingFullGroup(2)
-        spec = IntersectionSubgroup((CyclicSubgroup(W("s1 s2")), recorder))
-        members = list(_members(spec, 6, CAP))
-        powers = [W("s1 s2") ** n for n in (1, -1, 2, -2, 3, -3)]
-        assert sorted(recorder.calls, key=str) == sorted(powers, key=str)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(cyclic_specs), st.integers(0, 40))
+    def test_a_cyclic_walk_is_linear_in_the_radius(self, spec, radius):
+        # the folded graph of u = c v c^-1 is the path c and the cycle v: the
+        # walk goes round the cycle both ways, 1 + 2 * radius words when c
+        # is e, and each member also visits the |c| words of its own c
+        u_len, v_len = spec._lengths
+        # |u^n| = |u| + (|n| - 1)|v|, so u^n and u^-n fit for n <= powers
+        powers = (radius - u_len) // v_len + 1 if radius >= u_len else 0
+        stem = (u_len - v_len) // 2  # |c|
+        cap = 1 + 2 * radius + stem * 2 * powers
+        assert len(list(_members(spec, radius, cap))) == 2 * powers
+
+    def test_a_balanced_walk_visits_under_a_third_of_the_ball(self):
+        spec = Balanced(2, frozenset([2]))
+        members = list(_members(spec, 6, ball_size(6, 2) // 3))
         assert members == list(reference(spec, 6))
 
-    def test_balanced_walk_tests_only_zero_sum_words(self):
-        recorder = RecordingFullGroup(2)
-        spec = IntersectionSubgroup((Balanced(2, frozenset([2])), recorder))
-        members = list(_members(spec, 6, CAP))
-        assert all(w.exponent_sum(2) == 0 for w in recorder.calls)
-        assert len(recorder.calls) == len(members) < ball_size(6, 2) // 3
+    @settings(max_examples=150, deadline=None)
+    @given(groups, st.integers(0, 5))
+    def test_no_spec_visits_more_than_the_zero_sum_prune(self, group, radius):
+        # the words within reach of exponent sum zero on the generators the
+        # balanced and kernel parts fix, counted over the whole ball
+        n_gens, spec = group
+        radius = min(radius, 5 if n_gens < 3 else 4)
+        fixed = zero_sum_gens(spec)
+        bound = sum(1 for node in ball_enumerate(radius, n_gens)
+                    if node.word.length + sum(abs(node.word.exponent_sum(i))
+                                              for i in fixed) <= radius)
+        assert list(_members(spec, radius, bound)) == list(reference(spec, radius))
+
+    def test_a_kernel_keeping_every_generator_visits_only_the_root(self):
+        assert list(_members(KernelSubgroup(2, frozenset([1, 2])), 12, 1)) == []
 
     def test_a_deep_cyclic_search_lists_only_its_powers(self):
-        # V_3000 is far over the cap; the 2,001 listed words are not
+        # V_3000 is far over the cap; the 6,001 visited words are not
         family = CircleFamily([F(1, 3), F(1, 5)])
         spec = CyclicSubgroup(W("s1^3"))
         assert is_h_fixed(family, spec, F(1, 7), 3000, node_cap=10_000) == \
@@ -166,15 +201,16 @@ class TestWorkDone:
         assert (info.value.requested, info.value.cap) == (1, 0)
         assert list(_members(spec, 0, 1)) == []
 
-    def test_each_power_counts_when_built(self):
-        # s1 s2 and its inverse, four powers a side within V_8; the negative
-        # powers come first in ball order, so the cap stops the positive ones
+    def test_each_visited_word_counts(self):
+        # s1 s2 and its inverse, four powers a side within V_8; the walk
+        # visits the root and the 8 words along each side of the 2-cycle,
+        # the negative side first, so the cap stops the last positive power
         spec = CyclicSubgroup(W("s1 s2"))
-        assert len(list(_members(spec, 8, 9))) == 8
-        stream, got = _members(spec, 8, 8), []
+        assert len(list(_members(spec, 8, 17))) == 8
+        stream, got = _members(spec, 8, 16), []
         with pytest.raises(ResourceLimitError) as info:
             got.extend(stream)
-        assert (info.value.requested, info.value.cap) == (9, 8)
+        assert (info.value.requested, info.value.cap) == (17, 16)
         assert got == list(reference(spec, 8))[:7]
 
     @pytest.mark.parametrize("angles, text, cap, witness", [
@@ -183,7 +219,7 @@ class TestWorkDone:
         ((F(1, 3), F(1, 5)), "cyclic:s2*s1*s2^-1", 20, "s2 s1^10 s2^-1")])
     def test_a_witness_search_stops_at_its_witness(self, angles, text, cap, witness):
         # V_12 is far over the cap; the whole-ball walk reaches each witness
-        # within it, and so must the listed powers
+        # within it, and so must the pruned walk
         verdict = is_h_fixed(CircleFamily(angles), parse_subgroup(text, 2), F(0),
                              12, node_cap=cap)
         assert verdict.r == W(witness)

@@ -12,9 +12,16 @@ from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
                    ball_size, parse_word, sphere_size, sphere_words,
                    traversal_sphere_counts)
 from mdtds import words
-from mdtds.words import _ball_key, check_ball_cap
+from mdtds.words import check_ball_cap
 
 from conftest import W, random_word, words_strategy
+
+
+def ball_key(word: Word) -> list:
+    """The letter indices of a word read from the right end, its path from
+    the root: sorting by them puts words in ``ball_enumerate`` order."""
+    return [2 * gen - (2 if exp > 0 else 1)
+            for gen, exp in reversed(word.runs) for _ in range(abs(exp))]
 
 
 class TestParse:
@@ -305,7 +312,7 @@ class TestEnumeration:
         radius = data.draw(st.integers(0, 6 if n_gens < 3 else 4))
         ball = [node.word for node in ball_enumerate(radius, n_gens)]
         shuffled = data.draw(st.permutations(ball))
-        assert sorted(shuffled, key=_ball_key) == ball
+        assert sorted(shuffled, key=ball_key) == ball
 
     def test_sphere_words(self):
         assert len(sphere_words(2, 2)) == 12
