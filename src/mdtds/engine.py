@@ -329,47 +329,63 @@ class Counterexample:
 PeriodicityVerdict = Union[VerifiedUpTo, Counterexample]
 
 
-def _fixed_by(family: MapFamily, r: Word, value: Scalar):
-    """Check D_r(value) == value, falling back to the inverse member.
-
-    D_r fixes v iff D_{r^-1} fixes v (they are inverse bijections), so when
-    one direction cannot be evaluated exactly the other is tried.  Returns
-    (holds, member_used, rhs).
-    """
-    try:
-        rhs = evaluate(family, r, value)
-        return family.values_equal(rhs, value), r, rhs
-    except EvaluationError:
-        r_inv = r.inverse()
-        rhs = evaluate(family, r_inv, value)
-        return family.values_equal(rhs, value), r_inv, rhs
-
-
 def _first_violation(family: MapFamily, members, t: Word,
                      value: Scalar) -> Optional[Counterexample]:
-    """The first member r (in ``members`` order) with D_r(value) != value."""
+    """The first member r (in ``members`` order) with D_r(value) != value.
+
+    D_r fixes v iff D_{r^-1} fixes v (inverse bijections), so an r that
+    cannot be evaluated exactly gives way to its inverse, which is named."""
     for r in members:
-        holds, used, rhs = _fixed_by(family, r, value)
-        if not holds:
-            return Counterexample(t, used, value, rhs)
+        try:
+            rhs = evaluate(family, r, value)
+        except EvaluationError:
+            r = r.inverse()
+            rhs = evaluate(family, r, value)
+        if not family.values_equal(rhs, value):
+            return Counterexample(t, r, value, rhs)
     return None
+
+
+def _search(family: MapFamily, spec: SubgroupSpec, x: Scalar, depth_t: int,
+            depth_r: int, node_cap: int) -> PeriodicityVerdict:
+    """The first (t, r) in enumeration order with D_r(D_t(x)) != D_t(x), t in
+    V_depth_t and r in H within V_depth_r, else VerifiedUpTo.  The members
+    are streamed while t = e is checked, so a witness there ends the member
+    walk, and those drawn are kept for every later t.  Both walks count only
+    the words they visit against ``node_cap``."""
+    if spec.n_gens != family.n_gens:
+        raise WordSyntaxError("subgroup and family sizes differ")
+    x = family.coerce_point(x)
+    members = []
+
+    def drawn():
+        for r in _members(spec, depth_r, node_cap):
+            members.append(r)
+            yield r
+
+    # An exact value equal to one already checked passed the same checks, so
+    # the first counterexample in (t, r) order is unchanged by skipping it.
+    checked = set() if family.exact else None
+    source = drawn()
+    for t, value in _orbit_walk(family, x, depth_t, node_cap):
+        if checked is not None:
+            if value in checked:
+                continue
+            checked.add(value)
+        found = _first_violation(family, source, t, value)
+        if found is not None:
+            return found
+        source = members
+    return VerifiedUpTo(depth_t, depth_r)
 
 
 def is_h_fixed(family: MapFamily, spec: SubgroupSpec, x: Scalar, depth: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> PeriodicityVerdict:
-    """Check D_y(x) = x for every subgroup member in the ball of ``depth``.
-
-    Members are streamed, so the check stops at the first violation without
-    enumerating the rest of the ball.
-    """
-    if spec.n_gens != family.n_gens:
-        raise WordSyntaxError("subgroup and family sizes differ")
+    """Check D_y(x) = x for every subgroup member in the ball of ``depth``:
+    the search at t = e alone, which ends the member walk at a violation."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x = family.coerce_point(x)
-    return (_first_violation(family, _members(spec, depth, node_cap),
-                             Word.identity(family.n_gens), x)
-            or VerifiedUpTo(0, depth))
+    return _search(family, spec, x, 0, depth, node_cap)
 
 
 def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
@@ -377,32 +393,13 @@ def is_h_periodic(family: MapFamily, spec: SubgroupSpec, x: Scalar,
                   node_cap: int = DEFAULT_NODE_CAP) -> PeriodicityVerdict:
     """Check D_{r t}(x) = D_t(x) for t in V_depth_t and r in the H-ball.
 
-    Since D_{r t} = D_r o D_t, the check walks the orbit ball once and tests
-    every orbit value against every subgroup member; the first failure in
-    (t, r) enumeration order is returned, which makes the counterexample
-    deterministic.  An exact family tests each distinct orbit value once.
-    The member ball V_depth_r, listed whole, is refused before any word when
-    over the cap; the walk over t counts only the words it visits.
+    As D_{r t} = D_r o D_t, one orbit walk tests each value against the
+    members (see ``_search``), an exact family each distinct value once, and
+    the first failure in (t, r) enumeration order is returned.
     """
-    if spec.n_gens != family.n_gens:
-        raise WordSyntaxError("subgroup and family sizes differ")
     if depth_t < 1 or depth_r < 1:
         raise ValueError("depths must be >= 1")
-    x = family.coerce_point(x)
-    check_ball_cap(depth_r, spec.n_gens, node_cap)
-    members = list(_members(spec, depth_r, node_cap))
-    # An exact value equal to one already checked passed the same checks, so
-    # the first counterexample in (t, r) order is unchanged by skipping it.
-    checked = set() if family.exact and members else None
-    for t, value in _orbit_walk(family, x, depth_t, node_cap):
-        if checked is not None:
-            if value in checked:
-                continue
-            checked.add(value)
-        found = _first_violation(family, members, t, value)
-        if found is not None:
-            return found
-    return VerifiedUpTo(depth_t, depth_r)
+    return _search(family, spec, x, depth_t, depth_r, node_cap)
 
 
 # -- omega-limit sampling ---------------------------------------------------------

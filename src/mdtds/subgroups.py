@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError, WordSyntaxError
-from .words import DEFAULT_NODE_CAP, Word, _reduce, alphabet, check_ball_cap
+from .words import DEFAULT_NODE_CAP, Word, _reduce, alphabet
 
 
 @dataclass(frozen=True)
@@ -423,9 +423,9 @@ def subgroup_ball(spec: SubgroupSpec, radius: int, *,
                   node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Members of the subgroup within the ball V_radius, enumeration order.
 
-    An over-cap V_radius is refused before the first membership test.
+    The member walk counts the words it visits, the root included, against
+    ``node_cap`` (see ``_members``); V_radius itself is never sized.
     """
-    check_ball_cap(radius, spec.n_gens, node_cap)
     return [Word.identity(spec.n_gens), *_members(spec, radius, node_cap)]
 
 

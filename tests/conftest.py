@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -7,7 +6,7 @@ from operator import add
 import pytest
 from hypothesis import strategies as st
 
-from mdtds import FullGroup, SignedLetter, Word
+from mdtds import SignedLetter, Word
 
 
 def W(text: str, n_gens: int = 2) -> Word:
@@ -43,17 +42,6 @@ def words_strategy(n_gens: int = 2, max_len: int = 8):
         return word
 
     return letter_lists.map(build)
-
-
-@dataclass(frozen=True)
-class RecordingFullGroup(FullGroup):
-    """The whole group, with every membership test it answers recorded."""
-
-    calls: list = field(default_factory=list, compare=False)
-
-    def member(self, word: Word) -> bool:
-        self.calls.append(word)
-        return super().member(word)
 
 
 def preorder_spheres(n_gens, n_max, step, x0):

@@ -17,8 +17,7 @@ from mdtds import (BankFamily, Balanced, CallableMapFamily, CircleFamily,
                    is_h_fixed, is_h_periodic, omega_sample, orbit_ball,
                    parse_subgroup, stable_set_check, subgroup_ball)
 
-from conftest import (RecordingFullGroup, W, random_fraction, random_word,
-                      words_strategy)
+from conftest import W, random_fraction, random_word, words_strategy
 
 
 @pytest.fixture
@@ -386,13 +385,26 @@ class TestHPeriodic:
             is_h_periodic(fam44, u_spec, F(1, 3), 4, 1)
         assert info.value.word == W("s2^-1 s1^3")
 
-    def test_member_ball_over_the_cap_is_refused_before_any_word(self):
-        # the members are listed whole, so their ball is refused up front
-        family, spec = BankFamily([2, 3]), RecordingFullGroup(2)
+    def test_cyclic_member_ball_far_smaller_than_its_radius_ball(self):
+        # the members of <s1^3> within V_3000 take 6,001 visited words
+        family = CircleFamily([F(1, 3), F(1, 5)])
+        spec = CyclicSubgroup(W("s1^3"))
+        assert is_h_periodic(family, spec, F(1, 7), 2, 3000,
+                             node_cap=100_000) == VerifiedUpTo(2, 3000)
+
+    def test_witness_at_the_identity_ends_the_member_walk(self):
+        # V_12 has far more than 1,000 words, but s1 moves 1 at once
+        family = BankFamily([2, 3])
+        verdict = is_h_periodic(family, FullGroup(2), F(1), 1, 12, node_cap=1000)
+        assert verdict == Counterexample(W("e"), W("s1"), F(1), F(2))
+        assert family.apply_calls == 1
+
+    def test_member_walk_over_the_cap_is_refused_by_count(self):
+        # the identity fixes every point, so the walk goes on to the cap
         with pytest.raises(ResourceLimitError) as info:
-            is_h_periodic(family, spec, F(1), 1, 12, node_cap=1000)
-        assert (info.value.requested, info.value.exact) == (ball_size(12, 2), True)
-        assert spec.calls == [] and family.apply_calls == 0
+            is_h_periodic(identity_family(2), FullGroup(2), F(0), 1, 12,
+                          node_cap=1000)
+        assert (info.value.requested, info.value.cap) == (1001, 1000)
 
     def test_deep_search_refusal_holds_a_short_depth_path(self):
         # the walk over t stops at the cap: 1,000 words never need a depth

@@ -10,7 +10,7 @@ from mdtds import (Balanced, CyclicSubgroup, EvenCount, FullGroup,
                    parse_subgroup, subgroup_ball)
 from mdtds.words import _reduce
 
-from conftest import RecordingFullGroup, W, random_word, words_strategy
+from conftest import W, random_word, words_strategy
 
 
 def all_specs(n_gens=2):
@@ -247,14 +247,18 @@ class TestSubgroupBall:
     def test_balanced_ball_radius_one(self):
         assert [str(w) for w in subgroup_ball(Balanced.all_generators(2), 1)] == ["e"]
 
-    def test_over_the_cap_is_refused_before_any_membership_test(self):
-        # a refusal found by counting would name cap + 1, after cap tests
-        spec = RecordingFullGroup(2)
+    def test_cyclic_ball_far_smaller_than_its_radius_ball_is_walked(self):
+        # the walk round the 3-cycle of <s1^3> visits 6,001 words, while
+        # V_3000 has more than 2**64
+        ball = subgroup_ball(CyclicSubgroup(W("s1^3")), 3000, node_cap=100_000)
+        assert len(ball) == 2001
+
+    def test_the_cap_counts_the_words_visited_root_included(self):
         with pytest.raises(ResourceLimitError) as info:
-            subgroup_ball(spec, 12, node_cap=1000)
-        assert (info.value.requested, info.value.exact) == (ball_size(12, 2), True)
-        assert spec.calls == []
-        assert len(subgroup_ball(spec, 6, node_cap=ball_size(6, 2))) == ball_size(6, 2)
+            subgroup_ball(FullGroup(2), 12, node_cap=1000)
+        assert (info.value.requested, info.value.cap) == (1001, 1000)
+        assert len(subgroup_ball(FullGroup(2), 6, node_cap=ball_size(6, 2))) == \
+            ball_size(6, 2)
 
 
 class TestMeta:
