@@ -239,7 +239,9 @@ class TestWorkDone:
 class TestStructureReadOnce:
     @pytest.mark.parametrize("text", ["and(cyclic:s1^2*s2^5;full)",
                                       "and(and(cyclic:s1^2*s2^5;full);even:1)"])
-    def test_member_walk_calls_no_member_of_the_cyclic_part(self, text):
+    def test_listed_powers_are_tested_only_by_the_other_parts(self, text):
+        # the powers of u are tested only by the other parts: the member walk
+        # calls no ``member`` of the cyclic part
         spec = parse_subgroup(text, 2)
         want = list(reference(spec, 8))
         # u = s1^2 s2^5 turns circle (1/2, 1/5) a whole turn, (1/3, 1/5) by 2/3
