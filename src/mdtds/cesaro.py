@@ -8,8 +8,8 @@ family, and a hook that returns None, goes through the tree walk of
 :mod:`mdtds._kernels` with the family's ``letter_maps()``: one unary map per
 signed letter, called once per non-root word of the ball, each call counted
 in ``apply_calls``.  Exact families sum in rationals.  Float rotations sum
-each sphere with ``math.fsum``; other float families sum each sphere in
-depth-first preorder, the walk's fixed reduction order.  Either way output
+each sphere exactly and round it once; other float families sum each sphere
+in depth-first preorder, the walk's fixed reduction order.  Either way output
 is reproducible bit for bit.  The sign study walks from the int 1 with
 ``operator.neg`` as every letter's map, so its sums are exact int sums.
 """

@@ -11,16 +11,17 @@ full-circle answers become undecided).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .engine import Domain, MapFamily
-from .errors import ResourceLimitError, WordSyntaxError
+from .errors import DomainViolationError, ResourceLimitError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, to_rational
 from .subgroups import (CyclicSubgroup, SubgroupSpec,
                         _members, contained_in_fully_balanced)
-from .words import DEFAULT_NODE_CAP, Word
+from .words import DEFAULT_NODE_CAP, Word, ball_size
 
 
 def mod1(value: Scalar, tol: float = DEFAULT_TOL) -> Scalar:
@@ -70,53 +71,46 @@ class CircleFamily(MapFamily):
                           node_cap: int = DEFAULT_NODE_CAP):
         """Per-sphere orbit sums from exact word counts (hook for cesaro_scan).
 
-        "Exact" refers to the word counts, not the arithmetic: a word's value
-        depends only on its exponent-sum vector, so sphere words are counted
-        by (leading letter, state) with prepending letter j to the words not
-        led by its inverse moving their state by j's step.  Exact angles use
-        the residue mod M of the orbit value, M the common denominator of the
-        angles and x, and sum each sphere in rationals.  Float angles use the
-        exponent vector itself; each sphere is ``math.fsum`` of count times
-        value, every distinct vector evaluated once as
-        mod1(x + sum of e_i theta_i), so the sums are reproducible bit for
-        bit and agree with the tree walk within rounding.  The work is the
-        number of (letter, state) pairs over all depths plus the root, never
-        more than the ball size; ResourceLimitError is raised once it
+        The maps commute, so a word's orbit value is r/M, r the residue mod
+        M of M(x + e.theta) for its exponent vector e and M the common
+        denominator of x and the angles (a float is a dyadic rational, so
+        float angles have one too).  Sphere words are counted by (leading
+        letter, residue), prepending letter j to the words not led by its
+        inverse moving the residue by j's step.  Two words share a
+        residue only when their exact values are equal, so no float is ever
+        compared or merged.  Each sphere is one exact integer sum over the
+        residues: a Fraction for exact angles, rounded once to a float for
+        float angles, with values in the seam [1 - tol, 1) counted as 0 (as
+        ``mod1`` does).  So float sums are reproducible bit for bit and
+        agree with the tree walk within rounding.  A float scan whose ball
+        has more words than the largest float is refused with
+        DomainViolationError before any state is counted.  The work is the
+        number of (letter, residue) pairs over all depths plus the root,
+        never more than the ball size; ResourceLimitError is raised once it
         exceeds ``node_cap``.
         """
-        if self.exact:
-            modulus = x.denominator
-            for a in self.angles:
-                modulus = math.lcm(modulus, a.denominator)
-            steps = []
-            for a in self.angles:
-                step = a.numerator * (modulus // a.denominator) % modulus
-                steps += [step, -step % modulus]
-            start = x.numerator * (modulus // x.denominator)
-
-            def sphere_sum(counts):
-                return Fraction(sum(r * n for r, n in counts.items()), modulus)
-        else:
-            # state = sum of (e_i + n_max) * base^(i-1) over the exponent
-            # vector e; |e_i| <= n_max, so the modulus base^k is never reached
-            base = 2 * n_max + 1
-            strides = [base ** i for i in range(self.n_gens)]
-            steps = [s for stride in strides for s in (stride, -stride)]
-            start, modulus = n_max * sum(strides), base ** self.n_gens
-            values: dict = {}
-
-            def value(code):
-                out = values.get(code)
-                if out is None:
-                    terms = [x] + [((code // stride) % base - n_max) * a
-                                   for stride, a in zip(strides, self.angles)]
-                    out = values[code] = mod1(math.fsum(terms), self.tol)
-                return out
-
-            def sphere_sum(counts):
-                return math.fsum([n * value(c) for c, n in counts.items()])
-        return [x] + [sphere_sum(counts) for counts in
-                      _sphere_counts(start, steps, modulus, n_max, node_cap)]
+        # on two or more generators |V_r| >= 2**(r+1): from radius 1023 on
+        # the ball is past the largest float without building its size
+        if not self.exact and (self.n_gens > 1 and n_max >= 1023 or ball_size(
+                n_max, self.n_gens) > sys.float_info.max):
+            raise DomainViolationError(math.inf, detail=(
+                f"the ball of radius {n_max} has more words than the largest "
+                "float"))
+        point, *angles = map(Fraction, (x, *self.angles))
+        modulus = math.lcm(point.denominator, *(a.denominator for a in angles))
+        steps = []
+        for a in angles:
+            step = a.numerator * (modulus // a.denominator) % modulus
+            steps += [step, -step % modulus]
+        start = point.numerator * (modulus // point.denominator)
+        seam = modulus if self.exact else \
+            math.ceil(Fraction(1.0 - self.tol) * modulus)
+        sums = [x]
+        for counts in _sphere_counts(start, steps, modulus, n_max, node_cap):
+            total = Fraction(sum(r * n for r, n in counts.items() if r < seam),
+                             modulus)
+            sums.append(total if self.exact else float(total))
+        return sums
 
 
 def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,

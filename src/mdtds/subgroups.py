@@ -269,18 +269,19 @@ def _parts(spec: SubgroupSpec) -> list:
 def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
     """True when the spec is provably inside the fully balanced subgroup.
 
-    Structural check only: balanced-on-all specs, cyclic subgroups of a
-    balanced word, and intersections with such a part qualify.  False means
-    "not proven", not "false".
+    Structural check only: intersections whose ``bal:`` parts together
+    cover every generator, and cyclic subgroups of a balanced word (alone
+    or as a part), qualify.  False means "not proven", not "false".
     """
+    balanced = set()
     for part in _parts(spec):
-        if isinstance(part, Balanced) and part.is_fully_balanced:
-            return True
+        if isinstance(part, Balanced):
+            balanced |= part.indices
         if isinstance(part, CyclicSubgroup):
             u = part.generator_word
             if all(u.exponent_sum(i) == 0 for i in range(1, u.n_gens + 1)):
                 return True
-    return False
+    return len(balanced) == spec.n_gens
 
 
 def _automaton(part: SubgroupSpec) -> tuple:

@@ -10,7 +10,8 @@ from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
                    WordSyntaxError, ball_size, ball_sum_brute,
                    ball_sum_product_formula, cesaro_limit,
                    classify_periodicity, discrepancy_table, evaluate,
-                   orbit_ball, subgroup_ball, word_multiplier)
+                   orbit_ball, parse_subgroup, subgroup_ball,
+                   word_multiplier)
 from mdtds.bank import evaluate_closed_form
 
 from conftest import W, random_fraction, random_word
@@ -85,6 +86,11 @@ class TestEvaluation:
 class TestClassification:
     def test_balanced_is_fully_periodic(self):
         result = classify_periodicity((2, 3), Balanced.all_generators(2), 3)
+        assert result.kind == "all_positive_reals"
+
+    def test_balanced_parts_covering_every_generator(self):
+        spec = parse_subgroup("and(bal:1;bal:2)", 2)
+        result = classify_periodicity((2, 3), spec, 3)
         assert result.kind == "all_positive_reals"
 
     def test_balanced_exhaustive_multboth(self):

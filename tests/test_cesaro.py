@@ -14,6 +14,7 @@ from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
                    geometric_k_sum, identity_family, sign_ball_sum,
                    orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
 
+from mdtds import circle
 from mdtds.words import DEFAULT_NODE_CAP
 
 from conftest import W, fold_spheres, preorder_spheres, random_fraction
@@ -211,8 +212,8 @@ def _seam_cases(draw):
 
 
 class TestFloatRotationCounts:
-    """Float circle scans count words by exponent vector; the walk is the
-    oracle."""
+    """Float circle scans count words by the residue of their exact value
+    (a float angle is a dyadic rational); the walk is the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(_float_cases, st.floats(0, 1, exclude_max=True))
@@ -258,6 +259,36 @@ class TestFloatRotationCounts:
         cesaro_scan(family, 0.1, radius, node_cap=work)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, radius, node_cap=work - 1)
+
+    def test_commensurate_angles_share_residues(self):
+        # (1/2, 1/4) at x = 1/8 has 8 residues: 1,583 states to radius 100,
+        # where exponent vectors need 1,981
+        family = CircleFamily([0.5, 0.25], exact=False)
+        report = cesaro_scan(family, 0.125, 100, node_cap=1583)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, 0.125, 100, node_cap=1582)
+        exact = cesaro_scan(CircleFamily([F(1, 2), F(1, 4)]), F(1, 8), 100)
+        for row, other in zip(report.rows, exact.rows):
+            assert abs(row.mean - other.mean) <= 1e-15
+
+    def test_ball_past_the_largest_float_is_refused_before_any_state(
+            self, monkeypatch):
+        assert ball_size(645, 2) <= sys.float_info.max < ball_size(646, 2)
+
+        def no_counts(*args):
+            raise AssertionError("a state was counted")
+        monkeypatch.setattr(circle, "_sphere_counts", no_counts)
+        family = CircleFamily([0.5, 0.25], exact=False)
+        with pytest.raises(DomainViolationError, match="radius 646"):
+            cesaro_scan(family, 0.125, 646, node_cap=100_000)
+
+    def test_subnormal_base_point_matches_walk(self):
+        # x = 2**-1074: the common denominator has over a thousand bits
+        angles = [0.3, 2 ** 0.5]
+        report = cesaro_scan(CircleFamily(angles, exact=False), 5e-324, 6)
+        walked = cesaro_scan(_walked(CircleFamily(angles, exact=False)),
+                             5e-324, 6)
+        _float_rows_close(report, walked)
 
 
 def _line_pairs(rates):

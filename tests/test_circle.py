@@ -9,8 +9,8 @@ from mdtds import (Balanced, CircleFamily, CyclicSubgroup, EvenCount,
                    KernelSubgroup, WordSyntaxError,
                    ball_size, density_check, evaluate, fixed_set,
                    fixed_point_residual, is_h_fixed, is_h_periodic, mod1,
-                   orbit_ball, periodic_set, rational_period_subgroup,
-                   rotation_of)
+                   orbit_ball, parse_subgroup, periodic_set,
+                   rational_period_subgroup, rotation_of)
 from mdtds.circle import evaluate_closed_form
 
 from conftest import W, random_fraction, random_word
@@ -157,6 +157,10 @@ class TestPeriodicSet:
 
     def test_balanced_is_full(self, family):
         assert periodic_set(family, Balanced.all_generators(2), 4).kind == "full"
+
+    def test_balanced_parts_covering_every_generator_are_full(self, family):
+        spec = parse_subgroup("and(bal:1;bal:2)", 2)
+        assert periodic_set(family, spec, 4).kind == "full"
 
     def test_even_count_scan_finds_witness(self, family):
         verdict = periodic_set(family, EvenCount(2, frozenset([1, 2])), 3)
