@@ -160,8 +160,8 @@ def classify_periodicity(rates: Sequence, spec: SubgroupSpec, search_depth: int,
     if spec.n_gens != len(rates):
         raise WordSyntaxError("subgroup and rate vector sizes differ")
     meta = spec.meta()
-    if meta.has_generator:
-        witness = Word.letter(spec.n_gens, meta.generator_witness)
+    if meta.generators:
+        witness = Word.letter(spec.n_gens, meta.generators[0])
         return PeriodicityClass("empty", witness, word_multiplier(rates, witness))
     if contained_in_fully_balanced(spec):
         return PeriodicityClass("all_positive_reals")

@@ -20,7 +20,6 @@ import io
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import _kernels
 from .engine import MapFamily, _orbit_walk
@@ -39,27 +38,13 @@ class CesaroRow:
 
 @dataclass(frozen=True)
 class CesaroReport:
-    """Per-radius ball sums and means, plus even/odd tail views."""
+    """Per-radius ball sums and means."""
 
     rows: tuple
 
     @property
     def final_mean(self) -> Scalar:
         return self.rows[-1].mean
-
-    def tail(self, parity: int) -> Optional[Scalar]:
-        """Last mean with radius of the given parity (0 even, 1 odd)."""
-        for row in reversed(self.rows):
-            if row.radius % 2 == parity:
-                return row.mean
-        return None
-
-    @property
-    def final_gap(self) -> Optional[Scalar]:
-        """|C_n - C_{n-1}| at the largest radius; None below radius 1."""
-        if len(self.rows) < 2:
-            return None
-        return abs(self.rows[-1].mean - self.rows[-2].mean)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -238,9 +238,6 @@ class OrbitBall:
     radius: int
     values: dict
 
-    def value(self, word: Word) -> Scalar:
-        return self.values[word]
-
     def items(self):
         return self.values.items()
 
@@ -516,9 +513,11 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
     word and its inverse; otherwise the first ``max_rays`` members of
     V_ray_depth and their inverses.  True means some sampled sequence entered
     the eps-ball of x_periodic within ``steps``; False means not found at
-    these bounds (never a proof of absence).  Each ray runs through
-    ``_ray_values`` (seams checked once, cost linear in ``steps``); rays that
-    stop increasing or cannot be evaluated in exact mode are skipped.
+    these bounds (never a proof of absence), which covers V_ray_depth
+    holding no member of H but e: then no ray runs at all.  Each ray runs
+    through ``_ray_values`` (seams checked once, cost linear in ``steps``);
+    rays that stop increasing or cannot be evaluated in exact mode are
+    skipped.
     """
     if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
         raise WordSyntaxError("subgroup and family sizes differ")

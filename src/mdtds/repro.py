@@ -149,8 +149,7 @@ def run_bank_balanced_fullness(rates: Sequence = (2, 3)) -> ReportItem:
     _check(item, all(m == 1 for m in mults),
            f"all {len(mults)} members within radius 5 have multiplier 1")
     even = EvenCount(n, frozenset(range(1, n + 1)))
-    meta = even.meta()
-    _check(item, not meta.has_generator, "even-count subgroup contains no generator")
+    _check(item, not even.meta().generators, "even-count subgroup contains no generator")
     result = bank_mod.classify_periodicity(rates, even, 3)
     _check(item, result.kind == "empty" and result.witness is not None,
            f"yet its periodic set is empty (witness {result.witness}, "

@@ -44,14 +44,6 @@ class SubgroupMeta:
     index_value: Optional[int]
     generators: tuple
 
-    @property
-    def has_generator(self) -> bool:
-        return bool(self.generators)
-
-    @property
-    def generator_witness(self) -> Optional[int]:
-        return self.generators[0] if self.generators else None
-
 
 class SubgroupSpec(ABC):
     """Base class: an exact membership oracle plus metadata."""
@@ -139,25 +131,33 @@ class CyclicSubgroup(SubgroupSpec):
 
 
 @dataclass(frozen=True)
-class Balanced(SubgroupSpec):
-    """Exponent sum zero for every generator in ``indices``."""
+class _IndexSubgroup(SubgroupSpec):
+    """A subgroup named by at least ``least`` generator indices, each in
+    1..n_gens, with spec text ``prefix`` and the sorted indices."""
 
     n_gens: int
     indices: frozenset
+    prefix = ""
+    least = 1
 
     def __post_init__(self):
-        if not self.indices:
-            raise WordSyntaxError("balanced subgroup needs generator indices")
-        if not all(1 <= i <= self.n_gens for i in self.indices):
-            raise WordSyntaxError("balanced index out of range")
+        if (len(self.indices) < self.least
+                or not all(1 <= i <= self.n_gens for i in self.indices)):
+            raise WordSyntaxError(f"{self.prefix} needs {self.least} or more "
+                                  f"indices, each in 1..{self.n_gens}")
+
+    def __str__(self) -> str:
+        return self.prefix + ",".join(str(i) for i in sorted(self.indices))
+
+
+class Balanced(_IndexSubgroup):
+    """Exponent sum zero for every generator in ``indices``."""
+
+    prefix = "bal:"
 
     @classmethod
     def all_generators(cls, n_gens: int) -> "Balanced":
         return cls(n_gens, frozenset(range(1, n_gens + 1)))
-
-    @property
-    def is_fully_balanced(self) -> bool:
-        return len(self.indices) == self.n_gens
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
@@ -170,23 +170,13 @@ class Balanced(SubgroupSpec):
         return ("infinite", None)
 
     def __str__(self) -> str:
-        if self.is_fully_balanced:
-            return "bal:"
-        return "bal:" + ",".join(str(i) for i in sorted(self.indices))
+        return "bal:" if len(self.indices) == self.n_gens else super().__str__()
 
 
-@dataclass(frozen=True)
-class EvenCount(SubgroupSpec):
+class EvenCount(_IndexSubgroup):
     """Total occurrence count of generators in ``indices`` is even."""
 
-    n_gens: int
-    indices: frozenset
-
-    def __post_init__(self):
-        if not self.indices:
-            raise WordSyntaxError("even-count subgroup needs generator indices")
-        if not all(1 <= i <= self.n_gens for i in self.indices):
-            raise WordSyntaxError("even-count index out of range")
+    prefix = "even:"
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
@@ -196,35 +186,23 @@ class EvenCount(SubgroupSpec):
     def _index_info(self):
         return ("finite", 2)
 
-    def __str__(self) -> str:
-        return "even:" + ",".join(str(i) for i in sorted(self.indices))
 
+class KernelSubgroup(_IndexSubgroup):
+    """Words erased to the identity by dropping generators outside
+    ``indices``, the kept generators."""
 
-@dataclass(frozen=True)
-class KernelSubgroup(SubgroupSpec):
-    """Words erased to the identity by dropping generators outside ``kept``."""
-
-    n_gens: int
-    kept: frozenset
-
-    def __post_init__(self):
-        if len(self.kept) <= 1:
-            raise WordSyntaxError("kernel subgroup needs at least two kept generators")
-        if not all(1 <= i <= self.n_gens for i in self.kept):
-            raise WordSyntaxError("kernel index out of range")
+    prefix = "ker:"
+    least = 2
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
-        if len(self.kept) == self.n_gens:  # nothing erased: only e reduces to e
+        if len(self.indices) == self.n_gens:  # nothing erased: only e reduces to e
             return not word.runs
-        remaining = _reduce((g, e) for g, e in word.runs if g in self.kept)
+        remaining = _reduce((g, e) for g, e in word.runs if g in self.indices)
         return not remaining
 
     def _index_info(self):
         return ("infinite", None)
-
-    def __str__(self) -> str:
-        return "ker:" + ",".join(str(i) for i in sorted(self.kept))
 
 
 @dataclass(frozen=True)
@@ -296,7 +274,7 @@ def _automaton(part: SubgroupSpec) -> tuple:
             return parity, parity
         return 0, step
     if isinstance(part, KernelSubgroup):
-        kept = part.kept
+        kept = part.indices
         if len(kept) == part.n_gens:
             # the image is the word itself, and no word below the root is e
             return None, lambda image, letter: None
@@ -358,7 +336,9 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
       ``w^-1`` from the base of the folded Stallings graph of ``<u>``, the
       path c and then the cycle v, with ``need`` its distance to the base
       and a missing edge dead; at most ``1 + 2 * radius`` words are visited,
-      plus ``|c|`` per member.
+      plus ``|c|`` per member.  When ``|u| > radius``, no member but e fits
+      (``|u^n| >= |u|`` for n != 0), so the walk ends at the root and no
+      graph is built.
 
     Several automata run as their product, with ``need`` the largest.  The
     root and each visited word count against ``node_cap``, and past it
@@ -370,9 +350,11 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     if node_cap < 1:
         raise ResourceLimitError(1, node_cap)
     n_gens, parts = spec.n_gens, _parts(spec)
+    if any(isinstance(p, CyclicSubgroup) and p.generator_word.length > radius
+           for p in parts):
+        return
     summed = frozenset().union(*(
-        p.indices if isinstance(p, Balanced) else p.kept
-        for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
+        p.indices for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
     automata = [_automaton(p) for p in parts
                 if not isinstance(p, (FullGroup, Balanced))]
     start, step = (automata[0] if len(automata) == 1 else
@@ -430,19 +412,13 @@ def subgroup_ball(spec: SubgroupSpec, radius: int, *,
     return [Word.identity(spec.n_gens), *_members(spec, radius, node_cap)]
 
 
-def _parse_indices(text: str, n_gens: int, what: str) -> frozenset:
-    if not text:
-        raise WordSyntaxError(f"{what} needs indices")
-    try:
-        indices = frozenset(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise WordSyntaxError(f"bad {what} index list {text!r}") from exc
-    return indices
+_INDEX_KINDS = {kind.prefix: kind for kind in (Balanced, EvenCount, KernelSubgroup)}
 
 
 def parse_subgroup(text: str, n_gens: int) -> SubgroupSpec:
     """Parse spec text: ``full``, ``cyclic:<word>``, ``bal:<i,..>`` (empty
     list means all), ``even:<i,..>``, ``ker:<i,..>``, ``and(<spec>;<spec>;..)``.
+    Indices are in 1..n_gens, and ``ker:`` needs at least two.
     """
     text = text.strip()
     if text == "full":
@@ -451,12 +427,14 @@ def parse_subgroup(text: str, n_gens: int) -> SubgroupSpec:
         return CyclicSubgroup(Word.parse(text[len("cyclic:"):], n_gens))
     if text == "bal" or text == "bal:":
         return Balanced.all_generators(n_gens)
-    if text.startswith("bal:"):
-        return Balanced(n_gens, _parse_indices(text[4:], n_gens, "balanced"))
-    if text.startswith("even:"):
-        return EvenCount(n_gens, _parse_indices(text[5:], n_gens, "even-count"))
-    if text.startswith("ker:"):
-        return KernelSubgroup(n_gens, _parse_indices(text[4:], n_gens, "kernel"))
+    head, colon, body = text.partition(":")
+    kind = _INDEX_KINDS.get(head + colon)
+    if kind is not None:
+        try:
+            indices = frozenset(int(i) for i in body.split(","))
+        except ValueError as exc:
+            raise WordSyntaxError(f"bad {head} index list {body!r}") from exc
+        return kind(n_gens, indices)
     if text.startswith("and(") and text.endswith(")"):
         inner = text[4:-1]
         parts, depth, start = [], 0, 0

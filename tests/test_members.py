@@ -137,10 +137,8 @@ def zero_sum_gens(spec):
     from the spec's balanced and kernel parts."""
     if isinstance(spec, IntersectionSubgroup):
         return frozenset().union(*map(zero_sum_gens, spec.parts))
-    if isinstance(spec, Balanced):
+    if isinstance(spec, (Balanced, KernelSubgroup)):
         return spec.indices
-    if isinstance(spec, KernelSubgroup):
-        return spec.kept
     return frozenset()
 
 
@@ -178,6 +176,17 @@ class TestWorkDone:
 
     def test_a_kernel_keeping_every_generator_visits_only_the_root(self):
         assert list(_members(KernelSubgroup(2, frozenset([1, 2])), 12, 1)) == []
+
+    @pytest.mark.parametrize("text", ["cyclic:s1^10000", "and(cyclic:s1^10000;even:1)"])
+    def test_a_cyclic_part_longer_than_the_radius_visits_only_the_root(self, text):
+        # every power u^n with n != 0 is at least as long as u
+        assert list(_members(parse_subgroup(text, 2), 3, 1)) == []
+
+    def test_a_cyclic_part_longer_than_the_depth_builds_no_graph(self):
+        spec = CyclicSubgroup(W(f"s1^{10 ** 9}"))
+        verdict = is_h_fixed(CircleFamily([F(1, 3), F(1, 5)]), spec, F(1, 7), 3,
+                             node_cap=10)
+        assert verdict == VerifiedUpTo(0, 3)
 
     def test_a_deep_cyclic_search_lists_only_its_powers(self):
         # V_3000 is far over the cap; the 6,001 visited words are not
@@ -234,6 +243,14 @@ class TestWorkDone:
         for i, count in enumerate(reached[:10], 1):
             # the walk held its i-th member once it had counted ``count`` nodes
             assert len(list(itertools.islice(_members(spec, radius, count), i))) == i
+
+
+class TestSpecTextRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(groups)
+    def test_every_spec_kind_parses_back(self, group):
+        n_gens, spec = group
+        assert parse_subgroup(str(spec), n_gens) == spec
 
 
 class TestStructureReadOnce:

@@ -85,7 +85,7 @@ class TestMembership:
             # evaluate the erasure letter by letter as a homomorphism
             image = Word.identity(3)
             for letter in word.letters():
-                if letter.gen in spec.kept:
+                if letter.gen in spec.indices:
                     image = image * Word.letter(3, letter.gen, letter.sign)
             return image
 
@@ -313,7 +313,8 @@ class TestSpecText:
         assert parse_subgroup("bal:", 2) == Balanced.all_generators(2)
 
     @pytest.mark.parametrize("bad", ["", "nope", "cyclic:e", "even:", "ker:1",
-                                     "bal:9", "and()"])
+                                     "bal:9", "and()", "bal:1,,2", "even:1,",
+                                     "ker:1,1", "bal:1;2", "even:1e3"])
     def test_rejects(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_subgroup(bad, 2)
