@@ -16,10 +16,11 @@ other type is folded with ``+`` in preorder.
 
 The ball is split at the root: one subtree per signed letter (all words
 ending with that letter, walked by :mod:`mdtds._kernel_py`) plus the root
-itself at depth 0.  Each subtree is walked level by level over bounded
-frontiers, yet adds the words of a sphere in depth-first preorder; subtree
-totals are folded in letter order.  So the reduction tree is fixed and
-float sums are reproducible bit for bit.
+itself at depth 0.  Each subtree is walked depth first in blocks of a few
+levels, each level built from cached leading-letter patterns, and adds the
+words of a sphere in depth-first preorder; subtree totals are folded in
+letter order.  So the reduction tree is fixed and float sums are
+reproducible bit for bit.
 """
 from __future__ import annotations
 

@@ -22,8 +22,10 @@ and tests no word; the ``member`` methods are the independent oracle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError, WordSyntaxError
@@ -132,8 +134,8 @@ class CyclicSubgroup(SubgroupSpec):
 
 @dataclass(frozen=True)
 class _IndexSubgroup(SubgroupSpec):
-    """A subgroup named by at least ``least`` generator indices, each in
-    1..n_gens, with spec text ``prefix`` and the sorted indices."""
+    """A subgroup named by at least ``least`` generator indices, each an
+    int in 1..n_gens, with spec text ``prefix`` and the sorted indices."""
 
     n_gens: int
     indices: frozenset
@@ -142,9 +144,10 @@ class _IndexSubgroup(SubgroupSpec):
 
     def __post_init__(self):
         if (len(self.indices) < self.least
-                or not all(1 <= i <= self.n_gens for i in self.indices)):
+                or not all(type(i) is int and 1 <= i <= self.n_gens
+                           for i in self.indices)):
             raise WordSyntaxError(f"{self.prefix} needs {self.least} or more "
-                                  f"indices, each in 1..{self.n_gens}")
+                                  f"integer indices, each in 1..{self.n_gens}")
 
     def __str__(self) -> str:
         return self.prefix + ",".join(str(i) for i in sorted(self.indices))
@@ -287,18 +290,39 @@ def _automaton(part: SubgroupSpec) -> tuple:
     if isinstance(part, CyclicSubgroup):
         u_len, v_len = part._lengths
         stem = (u_len - v_len) // 2  # |c| for u = c v c^-1
-        # vertices met reading u from the base 0: c out to ``stem``, the
-        # cycle v back to it, then c^-1 home; vertex i is min(i, |u| - i)
-        # letters from the base
-        path = [*range(stem + v_len), stem, *range(stem - 1, -1, -1)]
-        moves = [{} for _ in range(stem + v_len)]
-        for (gen, sign), a, b in zip(part.generator_word.letters(), path, path[1:]):
-            # prepending a letter to w reads its inverse at the end of w^-1
-            moves[a][gen, -sign] = b, min(b, u_len - b)
-            moves[b][gen, sign] = a, min(a, u_len - a)
+        runs = part.generator_word.runs
+        ends = list(accumulate(abs(exp) for _, exp in runs))
+        moves = {}  # vertex -> its edges, built when the walk first leaves it
+
+        def letter_at(p):  # the letter of u at 0-based position p
+            gen, exp = runs[bisect_right(ends, p)]
+            return gen, 1 if exp > 0 else -1
+
+        def reached(p):  # (vertex, need) after reading p letters of u
+            # reading u from the base 0 goes out along c to vertex ``stem``,
+            # round the cycle v back to it, then home along c^-1; vertex i
+            # is min(i, |u| - i) letters from the base
+            b = p if p < stem + v_len else u_len - p
+            return b, min(b, u_len - b)
+
+        def edges(vertex):
+            out = {}
+            # the positions of u at the vertex: i, and |u| - i on the stem
+            for p in (vertex, u_len - vertex) if vertex <= stem else (vertex,):
+                # prepending a letter to w reads its inverse at the end of w^-1
+                if p < u_len:
+                    gen, sign = letter_at(p)
+                    out[gen, -sign] = reached(p + 1)
+                if p:
+                    out[letter_at(p - 1)] = reached(p - 1)
+            return out
 
         def step(vertex, letter):
-            return moves[vertex].get(letter)
+            try:
+                return moves[vertex].get(letter)
+            except KeyError:
+                moves[vertex] = edges(vertex)
+                return moves[vertex].get(letter)
         return 0, step
     raise TypeError(f"no member walk for {type(part).__name__}")
 
@@ -336,9 +360,10 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
       ``w^-1`` from the base of the folded Stallings graph of ``<u>``, the
       path c and then the cycle v, with ``need`` its distance to the base
       and a missing edge dead; at most ``1 + 2 * radius`` words are visited,
-      plus ``|c|`` per member.  When ``|u| > radius``, no member but e fits
-      (``|u^n| >= |u|`` for n != 0), so the walk ends at the root and no
-      graph is built.
+      plus ``|c|`` per member.  A vertex's edges are read from the runs of
+      ``u`` when the walk first leaves it, so the graph built is bounded by
+      the words visited, not by ``|u|``.  When ``|u| > radius``, no member
+      but e fits (``|u^n| >= |u|`` for n != 0), so the walk ends at the root.
 
     Several automata run as their product, with ``need`` the largest.  The
     root and each visited word count against ``node_cap``, and past it

@@ -50,12 +50,15 @@ class TestOrchestration:
         from mdtds import sphere_size
         counts = _kernels.traversal_sphere_counts(6, 2)
         assert counts == [sphere_size(n, 2) for n in range(7)]
+        # one generator: every level is one word, so no frontier bounds h
+        counts = _kernels.traversal_sphere_counts(5000, 1)
+        assert counts == [sphere_size(n, 1) for n in range(5001)]
 
 
 # a float step that is far from associative: per-letter scales and offsets
 # of mixed magnitudes, so any change in summation order shows in the sums
-_SCALE = [0.5, -1.75, 3.0e3, 1e-3, 1.1, -0.9]
-_SHIFT = [1e-7, 3.3, -2.2e4, 0.1, 1e10, -5e-5]
+_SCALE = [0.5, -1.75, 3.0e3, 1e-3, 1.1, -0.9, 2.5e-2, -7.0]
+_SHIFT = [1e-7, 3.3, -2.2e4, 0.1, 1e10, -5e-5, 6.4e5, -1e-9]
 
 
 def _affine(value, letter):
@@ -63,9 +66,14 @@ def _affine(value, letter):
 
 
 class TestLevelOrderWalk:
+    # 2 generators: frontiers 3, 9 and 27 give blocks 1, 2 and 3 levels
+    # tall, so radii 7 and 9 start with a short block; radius 2 is below one
+    # block; one generator at frontier 5 walks 599 levels as one block
     @pytest.mark.parametrize("n_gens,n_max,frontier", [
         (1, 12, 1024), (2, 9, 1024), (3, 6, 1024),
         (2, 6, 5), (3, 4, 7),
+        (2, 7, 3), (2, 9, 3), (2, 7, 9), (2, 9, 9), (2, 7, 27), (2, 9, 27),
+        (2, 2, 27), (4, 4, 1024), (1, 600, 5),
     ])
     def test_sums_match_a_preorder_walk_bit_for_bit(self, monkeypatch,
                                                     n_gens, n_max, frontier):
@@ -87,7 +95,7 @@ class TestLevelOrderWalk:
             assert [repr(s) for s in backwards] != [repr(s) for s in sums]
 
     def test_step_error_leaves_the_walk(self):
-        # fails on the last sphere, after the frontier has been split
+        # fails on the last sphere, in the second tier of blocks
         def step(depth, letter):
             if depth + 1 == 9:
                 raise DomainViolationError(depth + 1)

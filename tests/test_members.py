@@ -6,6 +6,7 @@ test here compares it, or a verdict built on it, with the reference that
 tests each word ``ball_enumerate`` yields, or counts the words it visits.
 """
 import itertools
+import tracemalloc
 from contextlib import ExitStack
 from fractions import Fraction as F
 from unittest import mock
@@ -187,6 +188,20 @@ class TestWorkDone:
         verdict = is_h_fixed(CircleFamily([F(1, 3), F(1, 5)]), spec, F(1, 7), 3,
                              node_cap=10)
         assert verdict == VerifiedUpTo(0, 3)
+
+    def test_a_long_cyclic_part_within_the_depth_is_bounded_by_the_cap(self):
+        # |u| = 200,000 fits the depth, so the walk starts, and the graph of
+        # <u> is built only at the vertices the 10 allowed words reach
+        family = CircleFamily([F(1, 3), F(1, 5)])
+        spec = CyclicSubgroup(W("s1^200000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="needs 11 nodes, cap is 10"):
+                is_h_fixed(family, spec, F(1, 7), 200_000, node_cap=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_a_deep_cyclic_search_lists_only_its_powers(self):
         # V_3000 is far over the cap; the 6,001 visited words are not

@@ -318,3 +318,9 @@ class TestSpecText:
     def test_rejects(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_subgroup(bad, 2)
+
+    @pytest.mark.parametrize("kind", [Balanced, EvenCount, KernelSubgroup])
+    @pytest.mark.parametrize("index", [1.5, True, 2.0])
+    def test_rejects_an_index_that_is_not_an_int(self, kind, index):
+        with pytest.raises(WordSyntaxError):
+            kind(3, frozenset([3, index]))
