@@ -7,13 +7,14 @@ belongs to the caller in :mod:`mdtds._kernels`).  A child's value is
 exactly once per non-root node.  Values are opaque objects combined with
 ``+``, so integers, Fractions and floats all go through the same walk.
 
-The walk is a depth-first stack of blocks: the ``h`` levels below one word,
-``h`` the most whose bottom level, ``(q-1)^h`` words, fits ``_FRONTIER``.
-Each level is built in preorder from the block root's ``_letter_patterns``,
-and the bottom words root the next blocks; the first block is short, so
-every later one ends on the last depth.  So every sphere sum adds its words
-in preorder (floats are bit for bit those of a depth-first walk), and memory
-is bounded by ``_FRONTIER`` words per tier of blocks, never by a sphere.
+The walk is a depth-first stack of blocks, each the ``h`` levels below one
+word: ``h`` is at most ``_FRONTIER`` and the most whose bottom level,
+``(q-1)^h`` words, fits it.  Levels are built in preorder from the block
+root's ``_letter_patterns``, the bottom words root the next blocks, and a
+short first block makes every later one end on the last depth.  So each
+sphere sum adds its words in preorder (floats are bit for bit those of a
+depth-first walk), and memory is bounded by ``_FRONTIER`` words per tier of
+blocks, never by a sphere.
 
 Folding: an ``int`` start value promises int values throughout, and each
 level is folded with ``sum``, which is exact for ints.  Any other start
@@ -55,8 +56,9 @@ def subtree_scan_object(n_gens: int, n_max: int, maps, x0, root_letter: int):
     q = 2 * n_gens
     # not sum() on floats: from Python 3.12 it compensates float rounding
     fold = sum if type(x0) is int else partial(reduce, add)
+    # at most _FRONTIER levels too: one word a level (q - 1 = 1) fits any h
     h = 1
-    while h < n_max - 1 and (q - 1) ** (h + 1) <= _FRONTIER:
+    while h < min(n_max - 1, _FRONTIER) and (q - 1) ** (h + 1) <= _FRONTIER:
         h += 1
     patterns = _letter_patterns(q, h)
     kid_maps = [[maps[li] for li in rows[1]] for rows in patterns]

@@ -50,7 +50,8 @@ class TestOrchestration:
         from mdtds import sphere_size
         counts = _kernels.traversal_sphere_counts(6, 2)
         assert counts == [sphere_size(n, 2) for n in range(7)]
-        # one generator: every level is one word, so no frontier bounds h
+        # one generator: every level is one word, so only the level cap
+        # bounds the block height
         counts = _kernels.traversal_sphere_counts(5000, 1)
         assert counts == [sphere_size(n, 1) for n in range(5001)]
 
@@ -68,7 +69,7 @@ def _affine(value, letter):
 class TestLevelOrderWalk:
     # 2 generators: frontiers 3, 9 and 27 give blocks 1, 2 and 3 levels
     # tall, so radii 7 and 9 start with a short block; radius 2 is below one
-    # block; one generator at frontier 5 walks 599 levels as one block
+    # block; one generator at frontier 5 walks 599 levels in 5-level blocks
     @pytest.mark.parametrize("n_gens,n_max,frontier", [
         (1, 12, 1024), (2, 9, 1024), (3, 6, 1024),
         (2, 6, 5), (3, 4, 7),
@@ -114,6 +115,19 @@ class TestLevelOrderWalk:
         finally:
             tracemalloc.stop()
         assert total == sign_ball_sum(12, 4)
+        assert peak < 1 << 20
+
+    def test_one_generator_keeps_blocks_of_at_most_a_frontier(self):
+        # every level is one word, so only the level cap bounds the cached
+        # patterns: 20,000 levels of them would peak near 3 MB
+        _kernel_py._letter_patterns.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = _kernels.traversal_sphere_counts(20_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [1] + [2] * 20_000
         assert peak < 1 << 20
 
 
