@@ -108,8 +108,6 @@ def evaluate_closed_form(rates: Sequence, word: Word, x) -> Fraction:
     applications); the two must agree because the maps commute.
     """
     rates = _validate_rates(rates)
-    if word.n_gens != len(rates):
-        raise WordSyntaxError("word and rate vector sizes differ")
     x = Fraction(x)
     if x <= 0:
         raise WordSyntaxError("deposit must be positive")
@@ -123,6 +121,8 @@ def word_multiplier(rates: Sequence, word: Word) -> Fraction:
     classification below is a statement about the subgroup, not the point.
     """
     rates = _validate_rates(rates)
+    if word.n_gens != len(rates):
+        raise WordSyntaxError("word and rate vector sizes differ")
     out = Fraction(1)
     for gen, exp in word.runs:
         out *= rates[gen - 1] ** exp
@@ -219,6 +219,8 @@ def ball_sum_brute(rates: Sequence, x, radius: int, *, threads: int = 1,
 def discrepancy_table(rates: Sequence, x, max_radius: int, *,
                       node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Rows (n, brute sum, product-formula sum, equal?) for n = 0..max_radius."""
+    if max_radius < 0:
+        raise ValueError("radius must be >= 0")
     rows = []
     for n in range(max_radius + 1):
         brute = ball_sum_brute(rates, x, n, node_cap=node_cap)

@@ -34,8 +34,7 @@ from .engine import (MapFamily, VerifiedUpTo, fixed_point_residual,
 from .errors import EvaluationError, MdtdsError, ResourceLimitError
 from .scalars import format_scalar, parse_rational
 from .subgroups import parse_subgroup
-from .words import (DEFAULT_NODE_CAP, Word, alphabet, ball_enumerate,
-                    check_ball_cap)
+from .words import DEFAULT_NODE_CAP, Word, _walk, alphabet, check_ball_cap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,12 +138,12 @@ def cmd_ball(args) -> int:
     radius, n_gens, cap = args.n, args.s, args.node_cap
     check_ball_cap(radius, n_gens, cap)
     letter_texts = {letter: str(letter) for letter in alphabet(n_gens)}
-    nodes = ball_enumerate(radius, n_gens, node_cap=cap)
-    # preorder (see ball_enumerate): a word's parent is the last word listed
+    walk = _walk(n_gens, radius, cap)
+    # preorder (see words._walk): a word's parent is the last word listed
     # one level up, whose text ``texts[depth - 1]`` holds
-    texts = [str(next(nodes).word)] * (radius + 1)
+    texts = [str(next(walk)[0])] * (radius + 1)
     rows = [["word", "length", "parent", "letter"], [texts[0], 0, "", ""]]
-    for word, _, letter in nodes:
+    for word, letter in walk:
         depth = word.length
         text = texts[depth] = str(word)
         rows.append([text, depth, texts[depth - 1], letter_texts[letter]])

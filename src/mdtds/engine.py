@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .errors import DomainViolationError, EvaluationError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, exact_sqrt
 from .subgroups import CyclicSubgroup, SubgroupSpec, _members
-from .words import DEFAULT_NODE_CAP, Word, ball_enumerate, check_ball_cap
+from .words import DEFAULT_NODE_CAP, Word, _walk, check_ball_cap
 
 
 @dataclass(frozen=True)
@@ -247,17 +247,18 @@ def _orbit_walk(family: MapFamily, x: Scalar, radius: int,
     """Yield (word, orbit value) over V_radius in enumeration order, lazily.
 
     One map application per tree edge: a child's value is its letter applied
-    to its parent's.  The enumeration is preorder (see ``ball_enumerate``),
-    so the parent of a word at depth d is the last word yielded at depth
-    d-1; ``path[d]`` holds that last value, and a child reads its parent's
-    value from ``path[d - 1]`` with no lookup by word.  An EvaluationError leaves with
-    the failing word set.
+    to its parent's.  The words come from the preorder walk ``words._walk``
+    (the order of ``ball_enumerate``, without its parent words), so the
+    parent of a word at depth d is the last word yielded at depth d-1;
+    ``path[d]`` holds that last value, and a child reads its parent's value
+    from ``path[d - 1]`` with no lookup by word.  An EvaluationError leaves
+    with the failing word set.
     """
     apply = family.apply
     path = [x] * (min(radius, node_cap) + 1)  # c words reach depth c-1 at most
-    nodes = ball_enumerate(radius, family.n_gens, node_cap=node_cap)
-    yield next(nodes).word, x
-    for word, _, (gen, sign) in nodes:
+    walk = _walk(family.n_gens, radius, node_cap)
+    yield next(walk)[0], x
+    for word, (gen, sign) in walk:
         depth = word.length
         try:
             value = apply(path[depth - 1], gen, sign)
@@ -481,10 +482,14 @@ def omega_sample(family: MapFamily, x: Scalar, ray, steps: int,
     letter stream).  A Ray increases unless a seam cancels, checked once, at
     a cost linear in ``steps``.  A letter stream evaluates each prefix from
     scratch, as the new letter acts first: for maps that do not commute,
-    that quadratic cost cannot be avoided.
+    that quadratic cost cannot be avoided.  ``tail_fraction``, in (0, 1],
+    is the share of the sample, from its end, that is clustered; the tail
+    keeps at least the last value.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0 < tail_fraction <= 1:
+        raise ValueError("tail_fraction must be in (0, 1]")
     x = family.coerce_point(x)
     if isinstance(ray, Ray):
         values = list(_ray_values(family, x, ray, steps))
@@ -499,7 +504,7 @@ def omega_sample(family: MapFamily, x: Scalar, ray, steps: int,
             values.append(evaluate(family, word, x))
     if not family.domain.bounded and any(abs(v) > divergence_bound for v in values):
         return OmegaSample((), True, len(values))
-    tail = values[int(len(values) * (1 - tail_fraction)):] or values
+    tail = values[min(int(len(values) * (1 - tail_fraction)), len(values) - 1):]
     return OmegaSample(cluster_values(tail, cluster_eps), False, len(values))
 
 

@@ -15,9 +15,10 @@ Families (over a group on ``n_gens`` generators):
 
 Membership is purely syntactic per family; there is no general membership
 test for arbitrary finitely generated subgroups.  Searches get a subgroup's
-members from one pruned walk of the ball (``_members``) that runs a
-left-action automaton per part, a folded Stallings graph for a cyclic part,
-and tests no word; the ``member`` methods are the independent oracle.
+members from the one preorder walk of the ball, ``words._walk``, pruned by
+``_members`` with a left-action automaton per part (a folded Stallings graph
+for a cyclic part); it tests no word, and the ``member`` methods are the
+independent oracle.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .errors import ResourceLimitError, WordSyntaxError
-from .words import DEFAULT_NODE_CAP, Word, _reduce, alphabet
+from .errors import WordSyntaxError
+from .words import DEFAULT_NODE_CAP, Word, _reduce, _walk
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
 
 
 def _automaton(part: SubgroupSpec) -> tuple:
-    """``(start, step)`` of a part's left action, as ``_members`` reads it:
+    """``(start, step)`` of a part's left action, as ``words._walk`` reads it:
     ``step(state, letter)`` is ``(state, need)`` after prepending ``letter``,
     or None when the state is dead."""
     if isinstance(part, EvenCount):
@@ -342,18 +343,14 @@ def _product(automata: list) -> tuple:
 def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     """Members other than e in V_radius, streamed in ``ball_enumerate`` order.
 
-    One preorder walk of the ball carries, for each word ``w``, the states
-    of a left-action automaton per part of the spec (nested intersections
-    flattened) and ``need``, a lower bound on the letters still to prepend
-    to reach a member, 0 exactly at one.  A subtree whose state is dead or
-    with ``|w| + need > radius`` is skipped unvisited, and the words with
-    ``need == 0`` are yielded; no ``member`` test runs.  The automata:
+    The members are the words of the pruned walk ``words._walk`` whose
+    ``need`` is 0; no ``member`` test runs.  Here the spec (nested
+    intersections flattened into parts) becomes the walk's prune:
 
-    * ``full``: one state;
-    * ``even:I``: the parity of the letters in I;
-    * ``bal:`` parts and the kept generators of ``ker:`` parts: one
-      exponent-sum vector over all their indices, inline in the walk, with
-      ``need`` its L1 norm (a prepended letter moves one sum by one);
+    * ``bal:`` parts and the kept generators of ``ker:`` parts: the
+      generators in ``summed``, whose exponent sums must all be zero;
+    * ``full``: nothing;
+    * ``even:I``: an automaton on the parity of the letters in I;
     * ``ker:K``: the reduced image on K, with ``need`` its length; dead below
       the root when K keeps every generator;
     * ``cyclic:u`` with ``u = c v c^-1``: the vertex reached by reading
@@ -370,61 +367,20 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     ResourceLimitError is raised (a cap below 1 refuses the root), so a
     search that stops at a witness has done only the work up to it.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if node_cap < 1:
-        raise ResourceLimitError(1, node_cap)
-    n_gens, parts = spec.n_gens, _parts(spec)
-    if any(isinstance(p, CyclicSubgroup) and p.generator_word.length > radius
-           for p in parts):
-        return
+    parts = _parts(spec)
     summed = frozenset().union(*(
         p.indices for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
     automata = [_automaton(p) for p in parts
                 if not isinstance(p, (FullGroup, Balanced))]
-    start, step = (automata[0] if len(automata) == 1 else
-                   _product(automata) if automata else (None, None))
-    # per letter in descending index order, so that the stack pops children
-    # in ascending order: index, letter, gen, sign, one-letter runs, summed?
-    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),),
-              letter.gen in summed)
-             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
-    # entries: runs, length, exponent sums by generator (slot 0 unused),
-    # their L1 norm, and the automaton's (state, need)
-    at_start = (start, 0)
-    stack = [((), 0, (0,) * (n_gens + 1), 0, at_start)]
-    count = 0
-    while stack:
-        runs, depth, sums, off, (state, need) = stack.pop()
-        count += 1
-        if count > node_cap:
-            raise ResourceLimitError(count, node_cap)
-        if not (off or need) and depth:
-            yield Word(n_gens, runs, depth)
-        if depth == radius:
-            continue
-        # the root has no head: generator 0 blocks and merges with no letter
-        head_gen, head_exp = runs[0] if runs else (0, 0)
-        blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
-        tail = runs[1:]
-        depth += 1
-        room = radius - depth  # the largest need a child may have
-        for li, letter, gen, sign, run, in_summed in table:
-            if li == blocked:
-                continue
-            child_off = off
-            if in_summed:
-                child_off += -1 if sums[gen] * sign < 0 else 1
-            if child_off > room:
-                continue
-            got = at_start if step is None else step(state, letter)
-            if got is None or got[1] > room:
-                continue
-            child_sums = (sums[:gen] + (sums[gen] + sign,) + sums[gen + 1:]
-                          if in_summed else sums)
-            # the letter merges into a leading run of its generator
-            stack.append((((gen, head_exp + sign),) + tail if gen == head_gen
-                          else run + runs, depth, child_sums, child_off, got))
+    walk = _walk(spec.n_gens, radius, node_cap, summed,
+                 automata[0] if len(automata) == 1 else
+                 _product(automata) if automata else None)
+    next(walk)  # e: checked and counted first, and not yielded
+    if any(isinstance(p, CyclicSubgroup) and p.generator_word.length > radius
+           for p in parts):
+        return
+    for word, _ in walk:
+        yield word
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int, *,

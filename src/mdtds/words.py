@@ -8,7 +8,10 @@ Ball enumeration grows words on the *left*: the child of ``w`` is ``l*w`` for
 a signed letter ``l`` that is not the inverse of ``w``'s first letter.  Words
 act on points as a left action (see :mod:`mdtds.engine`), so a child's orbit
 value is exactly one map application of its parent's value.  The enumerated
-set is the full ball ``V_n`` either way.
+set is the full ball ``V_n`` either way.  One preorder walk, ``_walk``,
+visits the ball for every reader: ``ball_enumerate`` adds each word's
+parent to it, the other enumerations read it directly, and the subgroup
+member walk (``subgroups._members``) runs it pruned.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class _WordSlots:
     A fresh instance of this unguarded base gets its slots filled with plain
     stores and only then becomes a Word, whose ``__setattr__`` refuses every
     assignment; that is cheaper than routing each store past the guard.
-    ``Word.__new__`` and the child loop of ``ball_enumerate`` make words this
+    ``Word.__new__`` and the ball walk ``_walk`` make words this
     way; ``Word.length`` fills ``_length`` later if it was not given.
     """
 
@@ -355,6 +358,85 @@ class BallNode(NamedTuple):
     letter: Optional[SignedLetter]
 
 
+def _walk(n_gens: int, radius: int, node_cap: int, summed=frozenset(),
+          automaton=None) -> Iterator[tuple]:
+    """Yield ``(word, letter)`` in preorder over V_radius, pruned on request.
+
+    Children are ordered by generator index, sign +1 before -1, and never
+    prepend the inverse of their parent's leading letter; ``letter`` is the
+    one prepended to the parent (None for the root, which comes first).  So
+    the parent of a word of length d is the last word of length d-1 visited
+    before it, and words come in the order of their letter indices read from
+    the right end (the path from the root), a word before its extensions.
+
+    Each visited word carries ``need``, a lower bound on the letters still
+    to prepend to reach a wanted word, 0 exactly at one: the L1 norm of the
+    exponent sums of the generators in ``summed`` (a prepended letter moves
+    one sum by one), or the need of ``automaton``, a ``(start, step)`` left
+    action with ``step(state, letter)`` giving ``(state, need)`` or None when
+    dead, whichever is larger.  A subtree whose state is dead or with
+    ``|w| + need > radius`` is skipped unvisited, and only the words with
+    ``need == 0`` are yielded and built; with no prune every word is.
+
+    The root and each visited word count against ``node_cap``, and past it
+    ResourceLimitError is raised (a cap below 1 refuses the root).
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if node_cap < 1:
+        raise ResourceLimitError(1, node_cap)
+    if n_gens < 1:
+        raise WordSyntaxError("need at least one generator")
+    start, step = automaton or (None, None)
+    at_start = (start, 0)
+    # per letter in descending index order, so that the stack pops children
+    # in ascending order: index, letter, gen, sign, one-letter runs, summed?
+    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),),
+              letter.gen in summed)
+             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
+    # entries: runs, length, exponent sums by generator (slot 0 unused),
+    # their L1 norm, the automaton's (state, need), and the letter prepended
+    stack = [((), 0, (0,) * (n_gens + 1), 0, at_start, None)]
+    count = 0
+    while stack:
+        runs, depth, sums, off, (state, need), letter = stack.pop()
+        count += 1
+        if count > node_cap:
+            raise ResourceLimitError(count, node_cap)
+        if not (off or need):
+            # Word(n_gens, runs, depth) with the slots filled in place
+            word = _blank(_WordSlots)
+            word.n_gens = n_gens
+            word.runs = runs
+            word._length = depth
+            word.__class__ = Word
+            yield word, letter
+        if depth == radius:
+            continue
+        # the root has no head: generator 0 blocks and merges with no letter
+        head_gen, head_exp = runs[0] if runs else (0, 0)
+        blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
+        tail = runs[1:]
+        depth += 1
+        room = radius - depth  # the largest need a child may have
+        for li, letter, gen, sign, run, in_summed in table:
+            if li == blocked:
+                continue
+            child_off = off
+            if in_summed:
+                child_off += -1 if sums[gen] * sign < 0 else 1
+            if child_off > room:
+                continue
+            got = at_start if step is None else step(state, letter)
+            if got is None or got[1] > room:
+                continue
+            child_sums = (sums[:gen] + (sums[gen] + sign,) + sums[gen + 1:]
+                          if in_summed else sums)
+            # the letter merges into a leading run of its generator
+            stack.append((((gen, head_exp + sign),) + tail if gen == head_gen
+                          else run + runs, depth, child_sums, child_off, got, letter))
+
+
 def ball_enumerate(radius: int, n_gens: int, *,
                    node_cap: int = DEFAULT_NODE_CAP) -> Iterator[BallNode]:
     """Stream the ball V_radius in deterministic depth-first order.
@@ -362,59 +444,27 @@ def ball_enumerate(radius: int, n_gens: int, *,
     Children are ordered by generator index, sign +1 before -1.  Each word is
     emitted exactly once, parents before children; a child never prepends the
     inverse of its parent's leading letter (no backtracking on the tree).
-    Raises ResourceLimitError when the stream would exceed ``node_cap`` nodes.
+    Raises ResourceLimitError when the stream would exceed ``node_cap`` nodes
+    (the root counts as the first, so a cap below 1 refuses it too), and
+    WordSyntaxError for fewer than one generator, both before the first node.
 
-    The order is preorder: the parent of a word of length d is the last word
-    of length d-1 emitted before it.  ``engine._orbit_walk`` and
-    ``cli.cmd_ball`` rely on this and keep their parents' data in lists
-    indexed by depth instead of looking it up by word.  Equivalently, words
-    come in the order of their letter indices read from the right end (the
-    path from the root), a word before its extensions; a pruned preorder
-    walk with the same child order (``subgroups._members``) keeps it.
-
-    The root counts as the first node, so a cap below 1 refuses it too.
+    The order is the preorder of ``_walk``, the one walk of the ball behind
+    every enumeration here and the pruned member walk of
+    ``subgroups._members``: the parent of a word of length d is the last
+    word of length d-1 emitted before it.  That is how the parents are
+    found here, from a path of the last word per depth; the internal readers
+    that need no parent (``engine._orbit_walk``, ``cli.cmd_ball``,
+    ``sphere_words``, ``ball_decompose``) read ``_walk`` directly.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if node_cap < 1:
-        raise ResourceLimitError(1, node_cap)
-    root = Word.identity(n_gens)
+    walk = _walk(n_gens, radius, node_cap)
+    root = next(walk)[0]
     yield BallNode(root, None, None)
-    if radius == 0:
-        return
-    # per letter, in descending index order so that the stack pops children
-    # in ascending order: index, letter, generator, sign, one-letter runs
-    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),))
-             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
-    node, blank = tuple.__new__, _blank
-    stack = [node(BallNode, (Word(n_gens, run, 1), root, letter))
-             for _, letter, _, _, run in table]
-    count = 1
-    while stack:
-        entry = stack.pop()
-        count += 1
-        if count > node_cap:
-            raise ResourceLimitError(count, node_cap)
-        yield entry
-        word = entry[0]
-        depth = word._length  # a child never cancels, so its length is its depth
-        if depth < radius:
-            runs = word.runs
-            head_gen, head_exp = runs[0]
-            blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
-            tail = runs[1:]
-            depth += 1
-            for li, letter, gen, sign, run in table:
-                if li != blocked:
-                    # Word(n_gens, runs, depth) with the slots filled in place
-                    child = blank(_WordSlots)
-                    child.n_gens = n_gens
-                    # the letter merges into a leading run of its generator
-                    child.runs = (((gen, head_exp + sign),) + tail
-                                  if gen == head_gen else run + runs)
-                    child._length = depth
-                    child.__class__ = Word
-                    stack.append(node(BallNode, (child, word, letter)))
+    path = [root] * (min(radius, node_cap) + 1)  # c words reach depth c-1 at most
+    node = tuple.__new__
+    for word, letter in walk:
+        depth = word._length
+        path[depth] = word
+        yield node(BallNode, (word, path[depth - 1], letter))
 
 
 def sphere_words(radius: int, n_gens: int, *,
@@ -424,8 +474,8 @@ def sphere_words(radius: int, n_gens: int, *,
     An over-cap V_radius is refused before the first word.
     """
     check_ball_cap(radius, n_gens, node_cap)
-    return [node.word for node in ball_enumerate(radius, n_gens, node_cap=node_cap)
-            if node.word.length == radius]
+    return [word for word, _ in _walk(n_gens, radius, node_cap)
+            if word._length == radius]
 
 
 # -- Cayley ball decomposition -------------------------------------------------
@@ -475,9 +525,9 @@ def ball_decompose(radius: int, n_gens: int, *,
     # letters that may follow a base whose last generator is g
     after = {g: [(s, tail) for s, tail in tails if s.gen != g]
              for g in range(1, n_gens + 1)}
-    nodes = ball_enumerate(radius - 1, n_gens, node_cap=node_cap)
-    next(nodes)  # the root is no base
-    for t, _, _ in nodes:
+    words = _walk(n_gens, radius - 1, node_cap)
+    next(words)  # the root is no base
+    for t, _ in words:
         runs, length = t.runs, t._length
         for s, tail in after[runs[-1][0]]:
             comps.append(node(BallComponent,

@@ -26,6 +26,13 @@ def random_word(rng: random.Random, n_gens: int, max_len: int) -> Word:
     return word
 
 
+def ball_key(word: Word) -> list:
+    """The letter indices of a word read from the right end, its path from
+    the root: sorting by them puts words in ``ball_enumerate`` order."""
+    return [2 * gen - (2 if exp > 0 else 1)
+            for gen, exp in reversed(word.runs) for _ in range(abs(exp))]
+
+
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_num))
 

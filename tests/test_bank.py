@@ -73,6 +73,14 @@ class TestEvaluation:
         assert word_multiplier((2, 3), W("s1 s2 s1^-1 s2^-1")) == 1
         assert word_multiplier((2, 3), W("s1")) == 2
 
+    @pytest.mark.parametrize("text, n_gens", [("s1", 1), ("s1 s3", 3)])
+    def test_multiplier_refuses_a_word_over_another_group(self, text, n_gens):
+        # the rates fix the group: a word on fewer or more generators is refused
+        with pytest.raises(WordSyntaxError, match="sizes differ"):
+            word_multiplier((2, 3), W(text, n_gens))
+        with pytest.raises(WordSyntaxError, match="sizes differ"):
+            evaluate_closed_form((2, 3), W(text, n_gens), 1)
+
     def test_multiplier_is_a_homomorphism(self, rng):
         rates = (F(3, 2), F(2))
         for _ in range(200):
@@ -186,6 +194,13 @@ class TestBallSums:
         rows = discrepancy_table((2, 3), 1, 1)
         assert rows[1][1] == F(41, 6)
         assert rows[1][2] == F(91, 6)
+
+    def test_negative_radius_is_refused_like_the_brute_sum(self):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            ball_sum_brute((2, 3), 1, -1)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            discrepancy_table((2, 3), 1, -1)
+        assert len(discrepancy_table((2, 3), 1, 0)) == 1
 
 
 class TestTrichotomy:

@@ -602,6 +602,23 @@ class TestOmega:
         sample = omega_sample(family, F(0), stream, 3, F(1, 100))
         assert not sample.diverged
 
+    @pytest.mark.parametrize("tail_fraction", [0, -0.5, 1.5, 2])
+    def test_tail_fraction_outside_zero_to_one_is_refused(self, tail_fraction):
+        family = CircleFamily([F(1, 2)])
+        with pytest.raises(ValueError, match="tail_fraction"):
+            omega_sample(family, F(0), Ray(Word.parse("s1", 1)), 40, F(1, 100),
+                         tail_fraction=tail_fraction)
+
+    def test_tail_fraction_bounds(self):
+        # s1 turns by 1/3: 0, 1/3, 2/3 repeat, so the whole sample holds the
+        # three points, and a tail too short to be empty holds the last one
+        family = CircleFamily([F(1, 3)])
+        ray = Ray(Word.parse("s1", 1))
+        whole = omega_sample(family, F(0), ray, 40, F(1, 100), tail_fraction=1)
+        assert whole.points == (F(0), F(1, 3), F(2, 3))
+        last = omega_sample(family, F(0), ray, 40, F(1, 100), tail_fraction=1e-20)
+        assert last.points == (F(1, 3),)
+
 
 class TestStableSet:
     def test_point_itself(self, fam44, u_spec):

@@ -14,14 +14,7 @@ from mdtds import (BallComponent, ResourceLimitError, SignedLetter, Word,
 from mdtds import words
 from mdtds.words import check_ball_cap
 
-from conftest import W, random_word, words_strategy
-
-
-def ball_key(word: Word) -> list:
-    """The letter indices of a word read from the right end, its path from
-    the root: sorting by them puts words in ``ball_enumerate`` order."""
-    return [2 * gen - (2 if exp > 0 else 1)
-            for gen, exp in reversed(word.runs) for _ in range(abs(exp))]
+from conftest import W, ball_key, random_word, words_strategy
 
 
 class TestParse:
@@ -306,6 +299,11 @@ class TestEnumeration:
             list(ball_enumerate(0, 2, node_cap=cap))
         assert (info.value.requested, info.value.cap) == (1, cap)
         assert [n.word for n in ball_enumerate(0, 2, node_cap=1)] == [W("e")]
+
+    def test_no_generators_is_refused_before_any_node(self):
+        nodes = ball_enumerate(2, 0)
+        with pytest.raises(WordSyntaxError, match="at least one generator"):
+            next(nodes)
 
     @given(st.integers(1, 3), st.data())
     def test_ball_key_sorts_into_enumeration_order(self, n_gens, data):
