@@ -26,8 +26,7 @@ from . import _kernels
 from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
 from .scalars import to_rational
-from .subgroups import (CyclicSubgroup, SubgroupSpec,
-                        _members, contained_in_fully_balanced)
+from .subgroups import SubgroupSpec, _set_verdict
 from .words import DEFAULT_NODE_CAP, Word
 
 
@@ -148,32 +147,24 @@ def classify_periodicity(rates: Sequence, spec: SubgroupSpec, search_depth: int,
                          *, node_cap: int = DEFAULT_NODE_CAP) -> PeriodicityClass:
     """Decide the H-periodic set for the growth model.
 
-    Order of attack: (a) a generator inside H kills periodicity outright
-    (its multiplier is a rate > 1); (b) subgroups of the fully balanced
-    subgroup have multiplier 1 everywhere; for a cyclic subgroup the single
-    multiplier decides exactly; (c) otherwise scan the subgroup ball for a
-    witness.
+    A word moves a deposit when its multiplier is not 1, so the set is
+    decided by ``subgroups._set_verdict``: a generator of the group inside H
+    is the witness (its multiplier is a rate > 1); subgroups of the fully
+    balanced subgroup have multiplier 1 everywhere; a cyclic subgroup is
+    decided exactly by its generator's multiplier; otherwise the subgroup
+    ball is searched for a witness.
     """
     rates = _validate_rates(rates)
     if search_depth < 1:
         raise ValueError("search_depth must be >= 1")
     if spec.n_gens != len(rates):
         raise WordSyntaxError("subgroup and rate vector sizes differ")
-    meta = spec.meta()
-    if meta.generators:
-        witness = Word.letter(spec.n_gens, meta.generators[0])
-        return PeriodicityClass("empty", witness, word_multiplier(rates, witness))
-    if contained_in_fully_balanced(spec):
+    witness, proof = _set_verdict(spec, lambda word: word_multiplier(rates, word),
+                                  lambda mult: mult == 1, search_depth, node_cap)
+    if witness is not None:
+        return PeriodicityClass("empty", witness, proof)
+    if proof is not None:
         return PeriodicityClass("all_positive_reals")
-    if isinstance(spec, CyclicSubgroup):
-        mult = word_multiplier(rates, spec.generator_word)
-        if mult == 1:
-            return PeriodicityClass("all_positive_reals")
-        return PeriodicityClass("empty", spec.generator_word, mult)
-    for member in _members(spec, search_depth, node_cap):
-        mult = word_multiplier(rates, member)
-        if mult != 1:
-            return PeriodicityClass("empty", member, mult)
     return PeriodicityClass("undecided", depth=search_depth)
 
 

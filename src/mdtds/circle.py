@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 from .engine import Domain, MapFamily
 from .errors import DomainViolationError, ResourceLimitError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, to_rational
-from .subgroups import (CyclicSubgroup, SubgroupSpec,
-                        _members, contained_in_fully_balanced)
+from .subgroups import CyclicSubgroup, SubgroupSpec, _set_verdict
 from .words import DEFAULT_NODE_CAP, Word, ball_size
 
 
@@ -196,7 +195,9 @@ class PeriodicSetVerdict:
 
     ``full`` when every subgroup member's rotation is an integer, ``empty``
     with a witness member otherwise, ``undecided`` when bounded search found
-    no witness (or when approximate mode cannot certify a full answer).
+    no witness (``depth`` is the searched depth) or when approximate mode
+    cannot certify a full answer (``note`` then names the proof it could
+    not certify).
     """
 
     kind: str  # "full" | "empty" | "undecided"
@@ -207,44 +208,44 @@ class PeriodicSetVerdict:
     note: str = ""
 
 
+# why a full answer stays undecided in approximate mode, by its proof
+_APPROXIMATE_NOTES = {
+    "balanced": "balanced subgroup rotates by 0, but approximate mode "
+                "cannot certify a full answer",
+    "cyclic": "generator rotation is integral at tolerance only",
+}
+
+
 def periodic_set(family: CircleFamily, spec: SubgroupSpec, search_depth: int,
                  *, node_cap: int = DEFAULT_NODE_CAP) -> PeriodicSetVerdict:
     """Decide the H-periodic set.
 
-    Fast paths: subgroups of the fully balanced subgroup rotate by exactly 0;
-    a cyclic subgroup is decided by its single generator's rotation.  All
-    other families fall back to scanning the subgroup ball for a non-integer
-    rotation.
+    A word moves points when its rotation is not an integer, so the set is
+    decided by ``subgroups._set_verdict``, as the growth model's is: a
+    generator of the group inside H that moves points is the witness;
+    subgroups of the fully balanced subgroup rotate by exactly 0; a cyclic
+    subgroup is decided by its single generator's rotation; all other
+    families fall back to scanning the subgroup ball for a non-integer
+    rotation.  Approximate mode marks every answer uncertified and turns a
+    full answer into ``undecided`` with a note.
     """
     if search_depth < 1:
         raise ValueError("search_depth must be >= 1")
     if spec.n_gens != family.n_gens:
         raise WordSyntaxError("subgroup and family sizes differ")
-    if contained_in_fully_balanced(spec):
-        if family.exact:
-            return PeriodicSetVerdict("full")
-        return PeriodicSetVerdict(
-            "undecided", certified=False,
-            note="balanced subgroup rotates by 0, but approximate mode "
-                 "cannot certify a full answer")
-    if isinstance(spec, CyclicSubgroup):
-        rot = rotation_of(family, spec.generator_word)
-        if not _is_integer(family, rot):
-            return PeriodicSetVerdict("empty", spec.generator_word, rot,
-                                      certified=family.exact)
-        if family.exact:
-            return PeriodicSetVerdict("full")
-        return PeriodicSetVerdict(
-            "undecided", certified=False,
-            note="generator rotation is integral at tolerance only")
-    for member in _members(spec, search_depth, node_cap):
-        rot = rotation_of(family, member)
-        if not _is_integer(family, rot):
-            return PeriodicSetVerdict("empty", member, rot,
-                                      certified=family.exact)
-    return PeriodicSetVerdict("undecided", depth=search_depth,
-                              certified=family.exact,
-                              note="no witness within the searched ball")
+    witness, proof = _set_verdict(spec, lambda word: rotation_of(family, word),
+                                  lambda rot: _is_integer(family, rot),
+                                  search_depth, node_cap)
+    if witness is not None:
+        return PeriodicSetVerdict("empty", witness, proof, certified=family.exact)
+    if proof is None:
+        return PeriodicSetVerdict("undecided", depth=search_depth,
+                                  certified=family.exact,
+                                  note="no witness within the searched ball")
+    if family.exact:
+        return PeriodicSetVerdict("full")
+    return PeriodicSetVerdict("undecided", certified=False,
+                              note=_APPROXIMATE_NOTES[proof])
 
 
 def rational_period_subgroup(family: CircleFamily, gen: int) -> CyclicSubgroup:

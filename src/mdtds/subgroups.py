@@ -18,7 +18,10 @@ test for arbitrary finitely generated subgroups.  Searches get a subgroup's
 members from the one preorder walk of the ball, ``words._walk``, pruned by
 ``_members`` with a left-action automaton per part (a folded Stallings graph
 for a cyclic part); it tests no word, and the ``member`` methods are the
-independent oracle.
+independent oracle.  ``_set_verdict`` is the one set-level periodicity rule
+of the growth and rotation models: it reads a witness or a proof that H
+acts trivially from the spec's structure where it can, and searches the
+members otherwise.
 """
 from __future__ import annotations
 
@@ -79,6 +82,10 @@ class SubgroupSpec(ABC):
 @dataclass(frozen=True)
 class FullGroup(SubgroupSpec):
     n_gens: int
+
+    def __post_init__(self):
+        if self.n_gens < 1:
+            raise WordSyntaxError("need at least one generator")
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
@@ -248,24 +255,6 @@ def _parts(spec: SubgroupSpec) -> list:
     return [spec]
 
 
-def contained_in_fully_balanced(spec: SubgroupSpec) -> bool:
-    """True when the spec is provably inside the fully balanced subgroup.
-
-    Structural check only: intersections whose ``bal:`` parts together
-    cover every generator, and cyclic subgroups of a balanced word (alone
-    or as a part), qualify.  False means "not proven", not "false".
-    """
-    balanced = set()
-    for part in _parts(spec):
-        if isinstance(part, Balanced):
-            balanced |= part.indices
-        if isinstance(part, CyclicSubgroup):
-            u = part.generator_word
-            if all(u.exponent_sum(i) == 0 for i in range(1, u.n_gens + 1)):
-                return True
-    return len(balanced) == spec.n_gens
-
-
 def _automaton(part: SubgroupSpec) -> tuple:
     """``(start, step)`` of a part's left action, as ``words._walk`` reads it:
     ``step(state, letter)`` is ``(state, need)`` after prepending ``letter``,
@@ -391,6 +380,62 @@ def subgroup_ball(spec: SubgroupSpec, radius: int, *,
     ``node_cap`` (see ``_members``); V_radius itself is never sized.
     """
     return [Word.identity(spec.n_gens), *_members(spec, radius, node_cap)]
+
+
+def _first_mover(words, act, fixes) -> tuple:
+    """``(word, act(word))`` for the first of ``words`` whose action moves
+    points, else ``(None, None)``."""
+    for word in words:
+        value = act(word)
+        if not fixes(value):
+            return word, value
+    return None, None
+
+
+def _set_verdict(spec: SubgroupSpec, act, fixes, search_depth: int,
+                 node_cap: int) -> tuple:
+    """The H-periodic set of a model whose maps commute, as
+    ``(witness, proof)``.
+
+    ``act(word)`` is what a word does to every point (a multiplier, a
+    rotation) and ``fixes(value)`` says whether that moves no point.  Such
+    a word acts through its exponent sums alone, the same on every point,
+    so one member that moves points leaves no point H-periodic, and when no
+    member moves one every point is.  The rule, in order:
+
+    1. a generator s_i in H (``meta().generators``) that moves points is
+       the witness;
+    2. when the ``bal:`` parts together name every generator, or a cyclic
+       part's generator has exponent sum zero on each, every member has
+       zero exponent sums and H acts trivially (proof ``"balanced"``);
+    3. a cyclic H is decided by its generator u: u is the witness, or H acts
+       trivially (proof ``"cyclic"``);
+    4. the first member of the ``_members`` walk of V_search_depth that
+       moves points is the witness; the walk counts against ``node_cap``.
+
+    The answer is ``(witness, act(witness))`` when no point is H-periodic
+    (the witness's action is the proof), ``(None, proof)`` with the clause
+    name when every point is, and ``(None, None)`` when the searched ball
+    holds no witness.  ``ker:`` indices are not read as a
+    cover (``ker:1,2`` on two generators is {e}, left to the search), and a
+    cyclic part of an intersection is not decided by its generator, which
+    need not be a member when a power of it is.
+    """
+    n_gens = spec.n_gens
+    letters = (Word.letter(n_gens, gen) for gen in spec.meta().generators)
+    witness, value = _first_mover(letters, act, fixes)
+    if witness is not None:
+        return witness, value
+    parts = _parts(spec)
+    covered = set().union(*(p.indices for p in parts if isinstance(p, Balanced)))
+    balanced_cyclic = any(isinstance(p, CyclicSubgroup) and not any(
+        map(p.generator_word.exponent_sum, range(1, n_gens + 1))) for p in parts)
+    if len(covered) == n_gens or balanced_cyclic:
+        return None, "balanced"
+    if isinstance(spec, CyclicSubgroup):
+        witness, value = _first_mover([spec.generator_word], act, fixes)
+        return (None, "cyclic") if witness is None else (witness, value)
+    return _first_mover(_members(spec, search_depth, node_cap), act, fixes)
 
 
 _INDEX_KINDS = {kind.prefix: kind for kind in (Balanced, EvenCount, KernelSubgroup)}

@@ -296,7 +296,7 @@ def sphere_size(radius: int, n_gens: int) -> int:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if n_gens < 1:
-        raise ValueError("need at least one generator")
+        raise WordSyntaxError("need at least one generator")
     if radius == 0:
         return 1
     q = 2 * n_gens
@@ -312,7 +312,7 @@ def ball_size(radius: int, n_gens: int) -> int:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if n_gens < 1:
-        raise ValueError("need at least one generator")
+        raise WordSyntaxError("need at least one generator")
     if n_gens == 1:
         return 2 * radius + 1
     q = 2 * n_gens

@@ -23,8 +23,8 @@ from mdtds import (Balanced, BankFamily, CircleFamily, Counterexample,
                    VerifiedUpTo, Word, ball_enumerate, ball_size,
                    classify_periodicity, is_h_fixed, parse_subgroup,
                    periodic_set, stable_set_check)
-from mdtds import bank, circle, engine
-from mdtds.subgroups import _members, contained_in_fully_balanced
+from mdtds import engine, subgroups
+from mdtds.subgroups import _members
 
 from conftest import W, ball_key, words_strategy
 
@@ -93,7 +93,7 @@ def outcome(call):
 def by_reference(call):
     """``call()`` with every search reading its members from the reference."""
     with ExitStack() as patches:
-        for module in (engine, bank, circle):
+        for module in (engine, subgroups):
             patches.enter_context(mock.patch.object(module, "_members", reference))
         return outcome(call)
 
@@ -311,7 +311,13 @@ class TestStructureReadOnce:
         shapes = [IntersectionSubgroup((a, IntersectionSubgroup((b, c)))),
                   IntersectionSubgroup((IntersectionSubgroup((a, b)), c)),
                   IntersectionSubgroup((a, b, c))]
-        assert len({contained_in_fully_balanced(s) for s in shapes}) == 1
+        rates = (2, 3, 5)[:n_gens]
+        family = CircleFamily([F(1, 7), F(1, 11), F(1, 13)][:n_gens])
+        depth = max(radius, 1)
+        assert len({outcome(lambda: classify_periodicity(rates, s, depth))
+                    for s in shapes}) == 1
+        assert len({outcome(lambda: periodic_set(family, s, depth))
+                    for s in shapes}) == 1
         flat_members = list(_members(shapes[-1], radius, CAP))
         for shape in shapes[:-1]:
             assert list(_members(shape, radius, CAP)) == flat_members
