@@ -148,19 +148,26 @@ def classify_periodicity(rates: Sequence, spec: SubgroupSpec, search_depth: int,
     """Decide the H-periodic set for the growth model.
 
     A word moves a deposit when its multiplier is not 1, so the set is
-    decided by ``subgroups._set_verdict``: a generator of the group inside H
-    is the witness (its multiplier is a rate > 1); subgroups of the fully
-    balanced subgroup have multiplier 1 everywhere; a cyclic subgroup is
+    decided by ``subgroups._set_verdict``: subgroups of the fully balanced
+    subgroup have multiplier 1 everywhere; a generator of the group inside
+    H is the witness (its multiplier is a rate > 1); a cyclic subgroup is
     decided exactly by its generator's multiplier; otherwise the subgroup
-    ball is searched for a witness.
+    ball is searched for a witness.  A multiplier is a power whose size
+    grows with the word, so a word with more letters than ``node_cap`` is
+    refused with ResourceLimitError before its multiplier is built.  Only
+    the generator of a cyclic H can be that long: every member the search
+    reaches is shorter than the words it has already counted.
     """
     rates = _validate_rates(rates)
-    if search_depth < 1:
-        raise ValueError("search_depth must be >= 1")
     if spec.n_gens != len(rates):
         raise WordSyntaxError("subgroup and rate vector sizes differ")
-    witness, proof = _set_verdict(spec, lambda word: word_multiplier(rates, word),
-                                  lambda mult: mult == 1, search_depth, node_cap)
+
+    def multiplier(word):
+        if word.length > node_cap:
+            raise ResourceLimitError(word.length, node_cap)
+        return word_multiplier(rates, word)
+    witness, proof = _set_verdict(spec, multiplier, lambda mult: mult == 1,
+                                  search_depth, node_cap)
     if witness is not None:
         return PeriodicityClass("empty", witness, proof)
     if proof is not None:

@@ -103,9 +103,7 @@ def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
     for n in range(n_max + 1):
         running = running + sphere_sums[n]
         size = ball_size(n, family.n_gens)
-        mean = Fraction(running, size) if isinstance(running, (Fraction, int)) \
-            else running / size
-        rows.append(CesaroRow(n, size, running, mean))
+        rows.append(CesaroRow(n, size, running, running / size))
     return CesaroReport(tuple(rows))
 
 

@@ -221,16 +221,15 @@ def periodic_set(family: CircleFamily, spec: SubgroupSpec, search_depth: int,
     """Decide the H-periodic set.
 
     A word moves points when its rotation is not an integer, so the set is
-    decided by ``subgroups._set_verdict``, as the growth model's is: a
-    generator of the group inside H that moves points is the witness;
-    subgroups of the fully balanced subgroup rotate by exactly 0; a cyclic
-    subgroup is decided by its single generator's rotation; all other
-    families fall back to scanning the subgroup ball for a non-integer
-    rotation.  Approximate mode marks every answer uncertified and turns a
-    full answer into ``undecided`` with a note.
+    decided by ``subgroups._set_verdict``, as the growth model's is:
+    subgroups of the fully balanced subgroup rotate by exactly 0; a
+    generator of the group inside H that moves points is the witness; a
+    cyclic subgroup is decided by its single generator's rotation, which
+    costs O(runs) however long the generator is; all other families fall
+    back to scanning the subgroup ball for a non-integer rotation.
+    Approximate mode marks every answer uncertified and turns a full answer
+    into ``undecided`` with a note.
     """
-    if search_depth < 1:
-        raise ValueError("search_depth must be >= 1")
     if spec.n_gens != family.n_gens:
         raise WordSyntaxError("subgroup and family sizes differ")
     witness, proof = _set_verdict(spec, lambda word: rotation_of(family, word),

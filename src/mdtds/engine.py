@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DomainViolationError, EvaluationError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, exact_sqrt
-from .subgroups import CyclicSubgroup, SubgroupSpec, _members
+from .subgroups import SubgroupSpec, _cyclic_word, _members
 from .words import DEFAULT_NODE_CAP, Word, _walk, check_ball_cap
 
 
@@ -514,15 +514,16 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
                      node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Search increasing sequences inside H that carry y toward x_periodic.
 
-    Rays are powers of subgroup members: for a cyclic subgroup, the defining
-    word and its inverse; otherwise the first ``max_rays`` members of
-    V_ray_depth and their inverses.  True means some sampled sequence entered
-    the eps-ball of x_periodic within ``steps``; False means not found at
-    these bounds (never a proof of absence), which covers V_ray_depth
-    holding no member of H but e: then no ray runs at all.  Each ray runs
-    through ``_ray_values`` (seams checked once, cost linear in ``steps``);
-    rays that stop increasing or cannot be evaluated in exact mode are
-    skipped.
+    Rays are powers of subgroup members: for a cyclic subgroup (read by
+    ``subgroups._cyclic_word``, so ``and(cyclic:u;full)`` is cyclic too),
+    the defining word and its inverse; otherwise the first ``max_rays``
+    members of V_ray_depth and their inverses.  True means some sampled
+    sequence entered the eps-ball of x_periodic within ``steps``; False
+    means not found at these bounds (never a proof of absence), which
+    covers V_ray_depth holding no member of H but e: then no ray runs at
+    all.  Each ray runs through ``_ray_values`` (seams checked once, cost
+    linear in ``steps``); rays that stop increasing or cannot be evaluated
+    in exact mode are skipped.
     """
     if spec.n_gens != family.n_gens:  # a caller error, not a ray to skip
         raise WordSyntaxError("subgroup and family sizes differ")
@@ -530,8 +531,9 @@ def stable_set_check(family: MapFamily, spec: SubgroupSpec, x_periodic: Scalar,
     y = family.coerce_point(y)
     if abs(y - x_periodic) <= eps:
         return True
-    if isinstance(spec, CyclicSubgroup):
-        seeds = [spec.generator_word, spec.generator_word.inverse()]
+    u = _cyclic_word(spec)
+    if u is not None:
+        seeds = [u, u.inverse()]
     else:
         seeds = list(itertools.islice(_members(spec, ray_depth, node_cap),
                                       max_rays))

@@ -18,10 +18,12 @@ test for arbitrary finitely generated subgroups.  Searches get a subgroup's
 members from the one preorder walk of the ball, ``words._walk``, pruned by
 ``_members`` with a left-action automaton per part (a folded Stallings graph
 for a cyclic part); it tests no word, and the ``member`` methods are the
-independent oracle.  ``_set_verdict`` is the one set-level periodicity rule
-of the growth and rotation models: it reads a witness or a proof that H
-acts trivially from the spec's structure where it can, and searches the
-members otherwise.
+independent oracle.  Every structural decision reads a spec only through
+``_parts``, so spellings of one H such as ``S``, ``and(S;full)``,
+``and(S;S)`` and nested intersections get the same answers.
+``_set_verdict`` is the one set-level periodicity rule of the growth and
+rotation models: it reads a witness or a proof that H acts trivially from
+the spec's structure where it can, and searches the members otherwise.
 """
 from __future__ import annotations
 
@@ -207,8 +209,6 @@ class KernelSubgroup(_IndexSubgroup):
 
     def member(self, word: Word) -> bool:
         self._check_group(word)
-        if len(self.indices) == self.n_gens:  # nothing erased: only e reduces to e
-            return not word.runs
         remaining = _reduce((g, e) for g, e in word.runs if g in self.indices)
         return not remaining
 
@@ -235,13 +235,12 @@ class IntersectionSubgroup(SubgroupSpec):
         return all(p.member(word) for p in self.parts)
 
     def _index_info(self):
-        kinds = [p._index_info() for p in self.parts]
-        if any(kind == "infinite" for kind, _ in kinds):
+        parts = _parts(self)
+        if any(p._index_info()[0] == "infinite" for p in parts):
             # the intersection sits inside each part, so its index dominates
             return ("infinite", None)
-        if all(isinstance(p, EvenCount) for p in self.parts):
-            distinct = len({p.indices for p in self.parts})
-            return ("finite_at_most", 2 ** distinct)
+        if all(isinstance(p, EvenCount) for p in parts):
+            return ("finite_at_most", 2 ** len(parts))
         return ("unknown", None)
 
     def __str__(self) -> str:
@@ -249,16 +248,37 @@ class IntersectionSubgroup(SubgroupSpec):
 
 
 def _parts(spec: SubgroupSpec) -> list:
-    """The spec's parts, nested intersections flattened; else the spec alone."""
+    """The one structural reading of a spec: its parts with nested
+    intersections flattened, each repeated part kept once (at its first
+    occurrence) and ``full`` left out, so every spelling of H reads the
+    same; ``full`` alone has no parts."""
     if isinstance(spec, IntersectionSubgroup):
-        return [leaf for part in spec.parts for leaf in _parts(part)]
-    return [spec]
+        return list(dict.fromkeys(leaf for part in spec.parts for leaf in _parts(part)))
+    return [] if isinstance(spec, FullGroup) else [spec]
 
 
-def _automaton(part: SubgroupSpec) -> tuple:
-    """``(start, step)`` of a part's left action, as ``words._walk`` reads it:
-    ``step(state, letter)`` is ``(state, need)`` after prepending ``letter``,
-    or None when the state is dead."""
+def _cyclic_word(spec: SubgroupSpec) -> Optional[Word]:
+    """The generator u when H is cyclic, that is when its parts are one
+    cyclic part <u>; else None."""
+    parts = _parts(spec)
+    cyclic = len(parts) == 1 and isinstance(parts[0], CyclicSubgroup)
+    return parts[0].generator_word if cyclic else None
+
+
+# a part with no member but e within the radius: dead below the root
+_DEAD = (None, lambda state, letter: None)
+
+
+def _automaton(part: SubgroupSpec, radius: int) -> tuple:
+    """``(start, step)`` of a part's left action on V_radius, as
+    ``words._walk`` reads it: ``step(state, letter)`` is ``(state, need)``
+    after prepending ``letter``, or None when the state is dead.  A part
+    with no member but e within the radius is ``_DEAD``: ``ker:`` keeping
+    every generator (only e erases to e) and a cyclic part longer than the
+    radius (``|u^n| >= |u|`` for n != 0)."""
+    if (isinstance(part, KernelSubgroup) and len(part.indices) == part.n_gens
+            or isinstance(part, CyclicSubgroup) and part.generator_word.length > radius):
+        return _DEAD
     if isinstance(part, EvenCount):
         indices = part.indices
 
@@ -268,9 +288,6 @@ def _automaton(part: SubgroupSpec) -> tuple:
         return 0, step
     if isinstance(part, KernelSubgroup):
         kept = part.indices
-        if len(kept) == part.n_gens:
-            # the image is the word itself, and no word below the root is e
-            return None, lambda image, letter: None
 
         def step(image, letter):
             if letter.gen in kept:
@@ -333,41 +350,38 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     """Members other than e in V_radius, streamed in ``ball_enumerate`` order.
 
     The members are the words of the pruned walk ``words._walk`` whose
-    ``need`` is 0; no ``member`` test runs.  Here the spec (nested
-    intersections flattened into parts) becomes the walk's prune:
+    ``need`` is 0; no ``member`` test runs.  Here the spec's parts
+    (``_parts``: nested intersections flattened, repeats and ``full`` left
+    out) become the walk's prune:
 
     * ``bal:`` parts and the kept generators of ``ker:`` parts: the
       generators in ``summed``, whose exponent sums must all be zero;
-    * ``full``: nothing;
     * ``even:I``: an automaton on the parity of the letters in I;
-    * ``ker:K``: the reduced image on K, with ``need`` its length; dead below
-      the root when K keeps every generator;
+    * ``ker:K``: the reduced image on K, with ``need`` its length;
     * ``cyclic:u`` with ``u = c v c^-1``: the vertex reached by reading
       ``w^-1`` from the base of the folded Stallings graph of ``<u>``, the
       path c and then the cycle v, with ``need`` its distance to the base
       and a missing edge dead; at most ``1 + 2 * radius`` words are visited,
       plus ``|c|`` per member.  A vertex's edges are read from the runs of
       ``u`` when the walk first leaves it, so the graph built is bounded by
-      the words visited, not by ``|u|``.  When ``|u| > radius``, no member
-      but e fits (``|u^n| >= |u|`` for n != 0), so the walk ends at the root.
+      the words visited, not by ``|u|``.
 
-    Several automata run as their product, with ``need`` the largest.  The
-    root and each visited word count against ``node_cap``, and past it
-    ResourceLimitError is raised (a cap below 1 refuses the root), so a
-    search that stops at a witness has done only the work up to it.
+    A part with no member but e within the radius (``ker:`` keeping every
+    generator, a cyclic part longer than the radius) is dead below the root
+    (see ``_automaton``), so the walk ends at the root.  Several automata
+    run as their product, with ``need`` the largest.  The root and each
+    visited word count against ``node_cap``, and past it ResourceLimitError
+    is raised (a cap below 1 refuses the root), so a search that stops at a
+    witness has done only the work up to it.
     """
     parts = _parts(spec)
     summed = frozenset().union(*(
         p.indices for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
-    automata = [_automaton(p) for p in parts
-                if not isinstance(p, (FullGroup, Balanced))]
+    automata = [_automaton(p, radius) for p in parts if not isinstance(p, Balanced)]
     walk = _walk(spec.n_gens, radius, node_cap, summed,
                  automata[0] if len(automata) == 1 else
                  _product(automata) if automata else None)
     next(walk)  # e: checked and counted first, and not yielded
-    if any(isinstance(p, CyclicSubgroup) and p.generator_word.length > radius
-           for p in parts):
-        return
     for word, _ in walk:
         yield word
 
@@ -401,40 +415,46 @@ def _set_verdict(spec: SubgroupSpec, act, fixes, search_depth: int,
     rotation) and ``fixes(value)`` says whether that moves no point.  Such
     a word acts through its exponent sums alone, the same on every point,
     so one member that moves points leaves no point H-periodic, and when no
-    member moves one every point is.  The rule, in order:
+    member moves one every point is.  H is read only through ``_parts``, so
+    every spelling of it gets the same answer.  The rule, in order:
 
-    1. a generator s_i in H (``meta().generators``) that moves points is
-       the witness;
-    2. when the ``bal:`` parts together name every generator, or a cyclic
+    1. when the ``bal:`` parts together name every generator, or a cyclic
        part's generator has exponent sum zero on each, every member has
        zero exponent sums and H acts trivially (proof ``"balanced"``);
-    3. a cyclic H is decided by its generator u: u is the witness, or H acts
-       trivially (proof ``"cyclic"``);
+    2. the generators s_i in H (``meta().generators``) and, when H is
+       cyclic (``_cyclic_word``), its generator u are the candidates: the
+       first that moves points is the witness;
+    3. a cyclic H whose generator moves no point acts trivially (proof
+       ``"cyclic"``);
     4. the first member of the ``_members`` walk of V_search_depth that
        moves points is the witness; the walk counts against ``node_cap``.
 
+    Clause 1 comes first because it holds only when no generator is in H.
     The answer is ``(witness, act(witness))`` when no point is H-periodic
     (the witness's action is the proof), ``(None, proof)`` with the clause
     name when every point is, and ``(None, None)`` when the searched ball
-    holds no witness.  ``ker:`` indices are not read as a
-    cover (``ker:1,2`` on two generators is {e}, left to the search), and a
-    cyclic part of an intersection is not decided by its generator, which
+    holds no witness.  A ``search_depth`` below 1 is refused with
+    ValueError.  ``ker:`` indices are not read as a cover (``ker:1,2`` on
+    two generators is {e}, left to the search), and a cyclic part of an
+    intersection with other parts is not decided by its generator, which
     need not be a member when a power of it is.
     """
+    if search_depth < 1:
+        raise ValueError("search_depth must be >= 1")
     n_gens = spec.n_gens
-    letters = (Word.letter(n_gens, gen) for gen in spec.meta().generators)
-    witness, value = _first_mover(letters, act, fixes)
-    if witness is not None:
-        return witness, value
     parts = _parts(spec)
     covered = set().union(*(p.indices for p in parts if isinstance(p, Balanced)))
     balanced_cyclic = any(isinstance(p, CyclicSubgroup) and not any(
         map(p.generator_word.exponent_sum, range(1, n_gens + 1))) for p in parts)
     if len(covered) == n_gens or balanced_cyclic:
         return None, "balanced"
-    if isinstance(spec, CyclicSubgroup):
-        witness, value = _first_mover([spec.generator_word], act, fixes)
-        return (None, "cyclic") if witness is None else (witness, value)
+    letters = [Word.letter(n_gens, gen) for gen in spec.meta().generators]
+    u = _cyclic_word(spec)
+    witness, value = _first_mover(letters + ([] if u is None else [u]), act, fixes)
+    if witness is not None:
+        return witness, value
+    if u is not None:
+        return None, "cyclic"
     return _first_mover(_members(spec, search_depth, node_cap), act, fixes)
 
 

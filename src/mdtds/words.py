@@ -520,8 +520,6 @@ def ball_decompose(radius: int, n_gens: int, *,
 
     comps = [BallComponent("identity", None, None, (root,))]
     comps += [BallComponent("axis_ray", None, s, ray((), 0, tail)) for s, tail in tails]
-    if radius == 1:
-        return comps
     # letters that may follow a base whose last generator is g
     after = {g: [(s, tail) for s, tail in tails if s.gen != g]
              for g in range(1, n_gens + 1)}
