@@ -86,7 +86,7 @@ class BankFamily(MapFamily):
         scale, steps = self._scaled_steps()
         work = 1 + len(steps) * n_max
         if work > node_cap:
-            raise ResourceLimitError(work, node_cap)
+            raise ResourceLimitError(work, node_cap, unit="steps")
         raw = [x.numerator]
         layer = [0] * len(steps)
         for _ in range(n_max):
@@ -164,7 +164,7 @@ def classify_periodicity(rates: Sequence, spec: SubgroupSpec, search_depth: int,
 
     def multiplier(word):
         if word.length > node_cap:
-            raise ResourceLimitError(word.length, node_cap)
+            raise ResourceLimitError(word.length, node_cap, unit="letters")
         return word_multiplier(rates, word)
     witness, proof = _set_verdict(spec, multiplier, lambda mult: mult == 1,
                                   search_depth, node_cap)

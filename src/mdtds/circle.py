@@ -20,7 +20,7 @@ from .engine import Domain, MapFamily
 from .errors import DomainViolationError, ResourceLimitError, WordSyntaxError
 from .scalars import DEFAULT_TOL, Scalar, to_rational
 from .subgroups import CyclicSubgroup, SubgroupSpec, _set_verdict
-from .words import DEFAULT_NODE_CAP, Word, ball_size
+from .words import DEFAULT_NODE_CAP, Word, _ball_exceeds
 
 
 def mod1(value: Scalar, tol: float = DEFAULT_TOL) -> Scalar:
@@ -88,10 +88,8 @@ class CircleFamily(MapFamily):
         never more than the ball size; ResourceLimitError is raised once it
         exceeds ``node_cap``.
         """
-        # on two or more generators |V_r| >= 2**(r+1): from radius 1023 on
-        # the ball is past the largest float without building its size
-        if not self.exact and (self.n_gens > 1 and n_max >= 1023 or ball_size(
-                n_max, self.n_gens) > sys.float_info.max):
+        if not self.exact and _ball_exceeds(n_max, self.n_gens,
+                                            sys.float_info.max):
             raise DomainViolationError(math.inf, detail=(
                 f"the ball of radius {n_max} has more words than the largest "
                 "float"))
@@ -134,7 +132,7 @@ def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,
         layer = led
         work += sum(map(len, layer))
         if work > node_cap:
-            raise ResourceLimitError(work, node_cap)
+            raise ResourceLimitError(work, node_cap, unit="states")
         total = {}
         for counts in layer:
             for r, n in counts.items():

@@ -276,7 +276,8 @@ def cmd_info(args) -> int:
 
 def _add_common(sub, *, model=False, point=False, fmt=False):
     sub.add_argument("--node-cap", type=_POSITIVE, default=DEFAULT_NODE_CAP,
-                     help="abort traversals beyond this many nodes")
+                     help="refuse work beyond this many nodes, steps, "
+                          "states or letters")
     if fmt:
         # tabular commands emit CSV and verdict commands JSON by design;
         # only the ball listing offers both encodings

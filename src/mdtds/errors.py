@@ -10,19 +10,25 @@ class WordSyntaxError(MdtdsError, ValueError):
 
 
 class ResourceLimitError(MdtdsError):
-    """A traversal would visit more nodes than the configured cap.
+    """A computation would do more units of work than the configured cap.
 
-    ``requested`` is the number of nodes the traversal needs or, when
-    ``exact`` is false, a number it is known to exceed (the true count is too
-    large to be worth computing).
+    ``unit`` names what was counted: ``nodes`` (words a walk visits or a
+    ball holds), ``steps`` (the growth model's sphere recurrence),
+    ``states`` (the rotation model's residue counts) or ``letters`` (of a
+    word whose multiplier would be built).  ``requested`` is the number of
+    units needed or, when ``exact`` is false, a number it is known to
+    exceed (the true count is too large to be worth computing).  The
+    message reads ``needs N <unit>, cap is C``.
     """
 
-    def __init__(self, requested: int, cap: int, *, exact: bool = True):
+    def __init__(self, requested: int, cap: int, *, exact: bool = True,
+                 unit: str = "nodes"):
         needs = requested if exact else f"more than {requested}"
-        super().__init__(f"traversal needs {needs} nodes, cap is {cap}")
+        super().__init__(f"needs {needs} {unit}, cap is {cap}")
         self.requested = requested
         self.cap = cap
         self.exact = exact
+        self.unit = unit
 
 
 class EvaluationError(MdtdsError):

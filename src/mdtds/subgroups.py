@@ -18,15 +18,17 @@ test for arbitrary finitely generated subgroups.  Searches get a subgroup's
 members from the one preorder walk of the ball, ``words._walk``, pruned by
 ``_members`` with a left-action automaton per part (a folded Stallings graph
 for a cyclic part); it tests no word, and the ``member`` methods are the
-independent oracle.  Every structural decision reads a spec only through
-``_parts``, so spellings of one H such as ``S``, ``and(S;full)``,
-``and(S;S)`` and nested intersections get the same answers.
+independent oracle.  Every structural decision, the index metadata
+(``_index``) among them, reads a spec only through ``_parts``, so
+spellings of one H such as ``S``, ``and(S;full)``, ``and(S;S)`` and nested
+intersections get the same answers.
 ``_set_verdict`` is the one set-level periodicity rule of the growth and
 rotation models: it reads a witness or a proof that H acts trivially from
 the spec's structure where it can, and searches the members otherwise.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,7 +45,12 @@ class SubgroupMeta:
     """Known analytic facts about a subgroup.
 
     ``index_kind`` is one of ``finite`` (exact value), ``finite_at_most``
-    (upper bound), ``infinite``, or ``unknown``.  ``generators`` lists the
+    (upper bound), ``infinite``, or ``unknown``, read from the spec's
+    distinct parts (``_parts``) by one rule, ``_index``: ``full`` has index
+    1 and a single part its own (2 for ``even:``, |k| for ``cyclic:s1^k``
+    on one generator, infinite otherwise); several parts give infinite when
+    one is, else at most the product of their indices.  Only a part of no
+    built-in kind makes it ``unknown``.  ``generators`` lists the
     generator indices i with s_i a member, computed exactly by direct
     membership tests, so it is never unknown.
     """
@@ -63,10 +70,6 @@ class SubgroupSpec(ABC):
         """Exact membership decision."""
 
     @abstractmethod
-    def _index_info(self) -> tuple:
-        """(kind, value) for the subgroup index."""
-
-    @abstractmethod
     def __str__(self) -> str:
         """Canonical spec text, re-parseable by :func:`parse_subgroup`."""
 
@@ -75,10 +78,9 @@ class SubgroupSpec(ABC):
             raise WordSyntaxError("word and subgroup over different groups")
 
     def meta(self) -> SubgroupMeta:
-        kind, value = self._index_info()
         gens = tuple(i for i in range(1, self.n_gens + 1)
                      if self.member(Word.letter(self.n_gens, i)))
-        return SubgroupMeta(kind, value, gens)
+        return SubgroupMeta(*_index(_parts(self)), gens)
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,6 @@ class FullGroup(SubgroupSpec):
     def member(self, word: Word) -> bool:
         self._check_group(word)
         return True
-
-    def _index_info(self):
-        return ("finite", 1)
 
     def __str__(self) -> str:
         return "full"
@@ -131,12 +130,6 @@ class CyclicSubgroup(SubgroupSpec):
             return False
         power = self.generator_word ** (steps + 1)
         return word == power or word == power.inverse()
-
-    def _index_info(self):
-        if self.n_gens == 1:
-            # The group is the integer line; u = s1^k has index |k|.
-            return ("finite", abs(self.generator_word.runs[0][1]))
-        return ("infinite", None)
 
     def __str__(self) -> str:
         return "cyclic:" + str(self.generator_word).replace(" ", "*")
@@ -179,9 +172,6 @@ class Balanced(_IndexSubgroup):
             sums[gen] += exp
         return not any(map(sums.__getitem__, self.indices))
 
-    def _index_info(self):
-        return ("infinite", None)
-
     def __str__(self) -> str:
         return "bal:" if len(self.indices) == self.n_gens else super().__str__()
 
@@ -196,9 +186,6 @@ class EvenCount(_IndexSubgroup):
         total = sum(abs(e) for g, e in word.runs if g in self.indices)
         return total % 2 == 0
 
-    def _index_info(self):
-        return ("finite", 2)
-
 
 class KernelSubgroup(_IndexSubgroup):
     """Words erased to the identity by dropping generators outside
@@ -211,9 +198,6 @@ class KernelSubgroup(_IndexSubgroup):
         self._check_group(word)
         remaining = _reduce((g, e) for g, e in word.runs if g in self.indices)
         return not remaining
-
-    def _index_info(self):
-        return ("infinite", None)
 
 
 @dataclass(frozen=True)
@@ -233,15 +217,6 @@ class IntersectionSubgroup(SubgroupSpec):
 
     def member(self, word: Word) -> bool:
         return all(p.member(word) for p in self.parts)
-
-    def _index_info(self):
-        parts = _parts(self)
-        if any(p._index_info()[0] == "infinite" for p in parts):
-            # the intersection sits inside each part, so its index dominates
-            return ("infinite", None)
-        if all(isinstance(p, EvenCount) for p in parts):
-            return ("finite_at_most", 2 ** len(parts))
-        return ("unknown", None)
 
     def __str__(self) -> str:
         return "and(" + ";".join(str(p) for p in self.parts) + ")"
@@ -263,6 +238,28 @@ def _cyclic_word(spec: SubgroupSpec) -> Optional[Word]:
     parts = _parts(spec)
     cyclic = len(parts) == 1 and isinstance(parts[0], CyclicSubgroup)
     return parts[0].generator_word if cyclic else None
+
+
+def _index(parts: list) -> tuple:
+    """``(index_kind, index_value)`` of the intersection of ``parts`` by the
+    rule ``SubgroupMeta`` states (``cyclic:s1^k`` on one generator is k Z in
+    the integer line).  H sits inside each part, so one infinite part makes
+    its index infinite, and the index of an intersection is at most the
+    product of the parts' indices.  ``None`` stands for the index of a part
+    of no built-in kind."""
+    own = []
+    for part in parts:
+        if isinstance(part, EvenCount):
+            own.append(2)
+        elif isinstance(part, CyclicSubgroup) and part.n_gens == 1:
+            own.append(abs(part.generator_word.runs[0][1]))
+        elif isinstance(part, (Balanced, CyclicSubgroup, KernelSubgroup)):
+            return "infinite", None
+        else:
+            own.append(None)
+    if None in own:
+        return "unknown", None
+    return "finite" if len(own) < 2 else "finite_at_most", math.prod(own)
 
 
 # a part with no member but e within the radius: dead below the root

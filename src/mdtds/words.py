@@ -320,24 +320,32 @@ def ball_size(radius: int, n_gens: int) -> int:
     return total
 
 
+def _ball_exceeds(radius: int, n_gens: int, limit) -> bool:
+    """Whether |V_radius| > ``limit`` (an int or a float).
+
+    On two or more generators |V_r| >= 4 * 3**(r-1) >= 2**(r+1), so every
+    radius from the limit's bit length on is over it, decided without
+    building |V_radius|; a smaller radius compares the closed form.
+    """
+    return (n_gens > 1 and radius >= int(limit).bit_length()
+            or ball_size(radius, n_gens) > limit)
+
+
 _NAMED_SIZE_LIMIT = 1 << 64  # refusals name ball sizes up to this exactly
 
 
 def check_ball_cap(radius: int, n_gens: int, node_cap: int) -> None:
     """Raise ResourceLimitError when V_radius has more than ``node_cap`` words.
 
-    Decided without building |V_radius| when that has more bits than the
-    limit, the larger of the cap and 2**64: on two or more generators
-    |V_r| >= 4 * 3**(r-1) >= 2**(r+1), so every radius from the limit's bit
-    length on is over it.  The error names the ball size when it is at most
-    the limit, and otherwise says that it exceeds the limit.
+    The error names the ball size when it is at most the larger of the cap
+    and 2**64, and otherwise says that it exceeds that limit, decided by
+    ``_ball_exceeds``, which builds no size for a radius from the limit's
+    bit length on.
     """
     limit = max(node_cap, _NAMED_SIZE_LIMIT)
-    if n_gens > 1 and radius >= limit.bit_length():
+    if _ball_exceeds(radius, n_gens, limit):
         raise ResourceLimitError(limit, node_cap, exact=False)
     size = ball_size(radius, n_gens)
-    if size > limit:
-        raise ResourceLimitError(limit, node_cap, exact=False)
     if size > node_cap:
         raise ResourceLimitError(size, node_cap)
 

@@ -72,8 +72,8 @@ def spellings(spec):
 
 def answers(spec, depth):
     """Members, both models' set verdicts at rates (3, 2, 5) and angles
-    (1/2, 1/3, 1/5), and the stable-set search with its map applications on
-    angles (1/4, 1/3, 1/5)."""
+    (1/2, 1/3, 1/5), the stable-set search with its map applications on
+    angles (1/4, 1/3, 1/5), and the index and generator metadata."""
     n_gens = spec.n_gens
     turned = CircleFamily([F(1, 4), F(1, 3), F(1, 5)][:n_gens])
     stable = outcome(lambda: stable_set_check(turned, spec, F(0), F(1, 7), 6,
@@ -82,7 +82,7 @@ def answers(spec, depth):
             outcome(lambda: classify_periodicity((3, 2, 5)[:n_gens], spec, depth)),
             outcome(lambda: periodic_set(
                 CircleFamily([F(1, 2), F(1, 3), F(1, 5)][:n_gens]), spec, depth)),
-            stable, turned.apply_calls)
+            stable, turned.apply_calls, spec.meta())
 
 
 class TestEverySpellingOfH:
@@ -107,7 +107,8 @@ class TestEverySpellingOfH:
                                       "and(cyclic:s1^100000000;full)"])
     def test_a_generator_longer_than_the_cap_is_refused(self, text):
         # its multiplier 3^(10^8) is never built
-        with pytest.raises(ResourceLimitError, match="cap is 10"):
+        with pytest.raises(ResourceLimitError,
+                           match="needs 100000000 letters, cap is 10"):
             classify_periodicity((3, 2), parse_subgroup(text, 2), 3, node_cap=10)
 
     def test_a_generator_within_the_cap_is_the_witness(self):
@@ -116,11 +117,14 @@ class TestEverySpellingOfH:
         assert (verdict.kind, verdict.witness, verdict.multiplier) == \
             ("empty", W("s1^50"), F(3) ** 50)
 
-    @pytest.mark.parametrize("text, meta", [
-        ("and(full;full)", SubgroupMeta("finite_at_most", 1, (1, 2))),
-        ("and(and(even:1;even:2);even:1)", SubgroupMeta("finite_at_most", 4, ()))])
-    def test_index_reads_the_distinct_parts(self, text, meta):
-        assert parse_subgroup(text, 2).meta() == meta
+    @pytest.mark.parametrize("text, meta, n_gens", [
+        ("and(full;full)", SubgroupMeta("finite", 1, (1, 2)), 2),
+        ("and(and(even:1;even:2);even:1)", SubgroupMeta("finite_at_most", 4, ()), 2),
+        ("and(cyclic:s1^2;full)", SubgroupMeta("finite", 2, ()), 1),
+        ("and(even:1;even:1)", SubgroupMeta("finite", 2, (2,)), 2),
+        ("and(cyclic:s1^2;even:1)", SubgroupMeta("finite_at_most", 4, ()), 1)])
+    def test_index_reads_the_distinct_parts(self, text, meta, n_gens):
+        assert parse_subgroup(text, n_gens).meta() == meta
 
     def test_both_dead_parts_share_one_automaton(self):
         # ker: keeping every generator and a cyclic part longer than the radius
