@@ -6,26 +6,31 @@ A family with an ``exact_sphere_sums`` hook (the growth-rate and rotation
 models) supplies the sums from exact counts by leading letter; every other
 family, and a hook that returns None, goes through the tree walk of
 :mod:`mdtds._kernels` with the family's ``letter_maps()``: one unary map per
-signed letter, called once per non-root word of the ball, each call counted
-in ``apply_calls``.  Exact families sum in rationals.  Float rotations sum
-each sphere exactly and round it once; other float families sum each sphere
-in depth-first preorder, the walk's fixed reduction order.  Either way output
-is reproducible bit for bit.  The sign study walks from the int 1 with
+signed letter, called once per non-root word of the ball.  A walk that
+succeeds adds the ball's non-root words to ``apply_calls`` once.  A NaN or
+an infinity makes its sphere's sum non-finite, so it is caught once per
+sphere; a failure, or a non-finite sum, replays the orbit walk, which raises
+at the first failing word in enumeration order and names it.  Exact
+families sum in rationals.  Float rotations sum each sphere exactly and
+round it once; other float families sum each sphere in depth-first
+preorder, the walk's fixed reduction order.  Either way output is
+reproducible bit for bit.  The sign study walks from the int 1 with
 ``operator.neg`` as every letter's map, so its sums are exact int sums.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
 from .engine import MapFamily, _orbit_walk
-from .errors import EvaluationError, WordSyntaxError
+from .errors import WordSyntaxError
 from .scalars import Scalar, format_scalar, int_text, parse_int, parse_scalar
-from .words import DEFAULT_NODE_CAP, ball_size
+from .words import DEFAULT_NODE_CAP, ball_size, check_ball_cap
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,33 @@ class CesaroReport:
 
 def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
                         node_cap: int) -> list:
+    check_ball_cap(n_max, family.n_gens, node_cap)
+    before = family.apply_calls
     try:
         sums = _kernels.scan_object(family.n_gens, n_max, family.letter_maps(),
                                     x, node_cap=node_cap)
-    except EvaluationError:
-        # the walk does not track words: the orbit walk over the same ball
-        # fails too, at the first failing word in enumeration order, and
-        # names it
-        for _ in _orbit_walk(family, x, n_max, node_cap):
-            pass
+    except Exception:
+        _replay(family, x, n_max, node_cap, before)
         raise
+    # a NaN or an infinity makes its sphere's float sum non-finite
+    if any(isinstance(s, float) and not math.isfinite(s) for s in sums):
+        _replay(family, x, n_max, node_cap, before)
+    family.apply_calls = before + ball_size(n_max, family.n_gens) - 1
     return sums
+
+
+def _replay(family: MapFamily, x: Scalar, n_max: int, node_cap: int,
+            before: int) -> None:
+    """Walk the ball word by word with ``apply``, counting from ``before``.
+
+    The tree walk does not track words, and an unbounded family's letter
+    maps check nothing: the orbit walk raises at the first word in
+    enumeration order whose value fails ``apply``'s checks, and names it.
+    It returns when every value passes (a float sum overflowed).
+    """
+    family.apply_calls = before
+    for _ in _orbit_walk(family, x, n_max, node_cap):
+        pass
 
 
 def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,

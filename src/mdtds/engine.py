@@ -72,11 +72,14 @@ class MapFamily:
     work on Fractions and compare by equality; approximate families work on
     floats and compare within ``tol``.  ``letter_maps()`` gives the same
     maps at powers +1 and -1 as 2k unary callables, the ones the ball walk
-    calls once per word; a subclass may override it with tighter closures
-    that return what ``apply`` returns and raise what it raises.
-    ``apply_calls`` counts map applications, through ``apply`` and through
-    ``letter_maps()`` alike (an instrumentation hook for the
-    one-application-per-edge orbit invariant; not thread-safe).
+    calls once per word; a subclass may override it with tighter callables
+    that return what ``apply`` returns and raise what it raises.  Such an
+    override need not count, and on a domain with no bounds it may leave
+    the NaN/infinity check to the scan, which checks each sphere sum once.
+    ``apply_calls`` counts map applications: ``apply`` counts its own calls,
+    and a ball scan counts one application per non-root word (an
+    instrumentation hook for the one-application-per-edge orbit invariant;
+    not thread-safe).
     """
 
     def __init__(self, n_gens: int, domain: Domain, exact: bool = True,
@@ -150,34 +153,25 @@ class CallableMapFamily(MapFamily):
     def letter_maps(self) -> list:
         """Per-letter maps doing what ``apply`` does at power +1 or -1.
 
-        Each counts one application, calls its map once and checks the
-        domain, without ``apply``'s dispatch on generator and power.  A
-        domain with no bounds holds every value but NaN and the infinities,
-        so its check is the float finiteness test alone.
+        A domain with no bounds holds every value but NaN and the
+        infinities, so its maps are the given callables themselves: the
+        scan checks each sphere sum for those values and replays the orbit
+        walk to name the word.  A domain with a bound wraps each callable in
+        one ``contains`` check, without ``apply``'s dispatch on generator and
+        power.  Neither kind counts applications.
         """
         domain = self.domain
         if domain.lower is None and domain.upper is None:
-            isfinite = math.isfinite
+            return [fn for pair in self._pairs for fn in pair]
+        contains = domain.contains
 
-            def unit(fn):
-                def step(value):
-                    self.apply_calls += 1
-                    value = fn(value)
-                    if isinstance(value, float) and not isfinite(value):
-                        raise DomainViolationError(value)
-                    return value
-                return step
-        else:
-            contains = domain.contains
-
-            def unit(fn):
-                def step(value):
-                    self.apply_calls += 1
-                    value = fn(value)
-                    if not contains(value):
-                        raise DomainViolationError(value)
-                    return value
-                return step
+        def unit(fn):
+            def step(value):
+                value = fn(value)
+                if not contains(value):
+                    raise DomainViolationError(value)
+                return value
+            return step
         return [unit(fn) for pair in self._pairs for fn in pair]
 
 

@@ -6,7 +6,9 @@ from operator import add
 import pytest
 from hypothesis import strategies as st
 
-from mdtds import SignedLetter, Word
+from mdtds import (BankFamily, CallableMapFamily, CircleFamily, Domain,
+                   SignedLetter, Word, affine_and_square_family,
+                   identity_family)
 
 
 def W(text: str, n_gens: int = 2) -> Word:
@@ -75,6 +77,32 @@ def fold_spheres(parts, x0, order):
         totals = [reduce(add, order(spheres[depth])) for spheres in parts]
         sums.append(reduce(add, totals))
     return sums
+
+
+# every family of the package, with the points its maps take
+_exact_unit = st.integers(1, 12).flatmap(
+    lambda den: st.builds(Fraction, st.integers(0, den), st.just(den)))
+_exact_circle = st.integers(1, 12).flatmap(
+    lambda den: st.builds(Fraction, st.integers(0, den - 1), st.just(den)))
+_rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+_positive = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+LINE_PAIRS = [(lambda v: 2 * v + 1, lambda v: (v - 1) / 2),
+              (lambda v: -v, lambda v: -v)]
+LETTER_MAP_FAMILIES = {
+    "callable exact": (lambda: CallableMapFamily(LINE_PAIRS, Domain()),
+                       _rationals),
+    # large or non-finite points leave the domain through inf and nan
+    "callable float": (lambda: CallableMapFamily(LINE_PAIRS, Domain(),
+                                                 exact=False), st.floats()),
+    "affine/square exact": (affine_and_square_family, _exact_unit),
+    "affine/square float": (lambda: affine_and_square_family(exact=False),
+                            st.floats(0, 1)),
+    "identity": (lambda: identity_family(2), _rationals),
+    "bank": (lambda: BankFamily([Fraction(3, 2), 4, Fraction(7, 5)]), _positive),
+    "circle exact": (lambda: CircleFamily([Fraction(1, 3), Fraction(2, 7)]), _exact_circle),
+    "circle float": (lambda: CircleFamily([0.3, 0.7], exact=False),
+                     st.floats(0, 1, exclude_max=True)),
+}
 
 
 @pytest.fixture

@@ -1,15 +1,16 @@
 import math
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
                    CesaroRow, CircleFamily, Domain, DomainViolationError,
-                   ResourceLimitError, WordSyntaxError, _kernel_py,
-                   affine_and_square_family, ball_enumerate,
+                   EvaluationError, ResourceLimitError, WordSyntaxError,
+                   _kernel_py, affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
                    geometric_k_sum, identity_family, sign_ball_sum,
                    orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
@@ -17,7 +18,8 @@ from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
 from mdtds import circle
 from mdtds.words import DEFAULT_NODE_CAP
 
-from conftest import W, fold_spheres, preorder_spheres, random_fraction
+from conftest import (LETTER_MAP_FAMILIES, W, fold_spheres, preorder_spheres,
+                      random_fraction)
 
 
 class TestScan:
@@ -321,6 +323,77 @@ class TestFloatWalkScans:
 
         spheres = fold_spheres(
             preorder_spheres(family.n_gens, radius, step, x), x, list)
+        running, expected = x - x, []
+        for total in spheres:
+            running = running + total
+            expected.append(repr(running))
+        assert [repr(row.ball_sum) for row in report.rows] == expected
+
+
+def _float_lines(pairs):
+    return lambda: CallableMapFamily(pairs, Domain(), exact=False)
+
+
+# the families the scan walks (no sphere-sum hook), and line families whose
+# orbits or sums leave the floats
+_WALKED_KINDS = ("affine/square exact", "affine/square float",
+                 "callable exact", "callable float", "identity")
+_SCANNED = {kind: LETTER_MAP_FAMILIES[kind][0] for kind in _WALKED_KINDS}
+_SCANNED.update({
+    "lines 1.5, 1.25": _float_lines(_line_pairs([1.5, 1.25])),
+    "lines 1.00001, 1.00002": _float_lines(_line_pairs([1.00001, 1.00002])),
+    "lines -2, 1.5": _float_lines(_line_pairs([-2.0, 1.5])),
+    # round() raises OverflowError on inf, not an evaluation error
+    "scale and round": _float_lines([
+        (lambda v: v * 1e10, lambda v: v / 1e10),
+        (lambda v: v + 0 * round(v), lambda v: v - 0 * round(v))]),
+})
+
+
+@st.composite
+def _walked_scan_cases(draw):
+    kind = draw(st.sampled_from(_WALKED_KINDS))
+    return kind, draw(LETTER_MAP_FAMILIES[kind][1]), draw(st.integers(0, 4))
+
+
+class TestWalkedScanChecks:
+    """A walked scan counts and checks once per sphere: it fails as the
+    orbit walk over its ball does, or returns the preorder sums."""
+
+    @pytest.mark.parametrize("frontier", [1024, 5])
+    @settings(max_examples=150, deadline=None)
+    @given(case=_walked_scan_cases())
+    @example(case=("lines 1.5, 1.25", 1e308, 3))  # DomainViolationError at s1^2
+    @example(case=("lines 1.00001, 1.00002", 1.7e308, 2))  # sums overflow
+    @example(case=("lines -2, 1.5", 1e307, 4))  # a nan row, no error
+    @example(case=("scale and round", 1e300, 3))  # DomainViolationError at s1
+    def test_scan_fails_as_the_orbit_walk_or_folds_in_preorder(self, frontier,
+                                                               case):
+        kind, x, radius = case
+        make = _SCANNED[kind]
+        family, reference = make(), make()
+        try:
+            orbit_ball(reference, x, radius)
+        except EvaluationError as exc:
+            with mock.patch.object(_kernel_py, "_FRONTIER", frontier), \
+                    pytest.raises(type(exc)) as info:
+                cesaro_scan(family, x, radius)
+            assert (type(info.value), info.value.word, str(info.value)) == \
+                (type(exc), exc.word, str(exc))
+            assert family.apply_calls == reference.apply_calls
+            return
+        with mock.patch.object(_kernel_py, "_FRONTIER", frontier):
+            report = cesaro_scan(family, x, radius)
+        assert family.apply_calls == ball_size(radius, family.n_gens) - 1
+        x = family.coerce_point(x)
+
+        def step(value, letter):
+            return reference.apply(value, letter // 2 + 1,
+                                   -1 if letter % 2 else 1)
+
+        spheres = fold_spheres(
+            preorder_spheres(family.n_gens, radius, step, x), x, list) \
+            if radius else [x]
         running, expected = x - x, []
         for total in spheres:
             running = running + total
