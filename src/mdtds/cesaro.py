@@ -9,8 +9,10 @@ family, and a hook that returns None, goes through the tree walk of
 signed letter, called once per non-root word of the ball.  A walk that
 succeeds adds the ball's non-root words to ``apply_calls`` once.  A NaN or
 an infinity makes its sphere's sum non-finite, so it is caught once per
-sphere; a failure, or a non-finite sum, replays the orbit walk, which raises
-at the first failing word in enumeration order and names it.  Exact
+sphere; a non-finite sum walks the ball again through ``apply``, which checks
+every value and builds no word.  Only a walk that fails replays the orbit
+walk, which raises at the first failing word in enumeration order and names
+it; sums that overflowed from finite values are returned as they are.  Exact
 families sum in rationals.  Float rotations sum each sphere exactly and
 round it once; other float families sum each sphere in depth-first
 preorder, the walk's fixed reduction order.  Either way output is
@@ -73,33 +75,26 @@ class CesaroReport:
 
 def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
                         node_cap: int) -> list:
-    check_ball_cap(n_max, family.n_gens, node_cap)
+    n_gens = family.n_gens
+    check_ball_cap(n_max, n_gens, node_cap)
     before = family.apply_calls
     try:
-        sums = _kernels.scan_object(family.n_gens, n_max, family.letter_maps(),
-                                    x, node_cap=node_cap)
+        sums = _kernels.scan_object(n_gens, n_max, family.letter_maps(), x,
+                                    node_cap=node_cap)
+        # a NaN or an infinity makes its sphere's float sum non-finite; the
+        # maps through apply check every value, without building words
+        if any(isinstance(s, float) and not math.isfinite(s) for s in sums):
+            _kernels.scan_object(n_gens, n_max, MapFamily.letter_maps(family),
+                                 x, node_cap=node_cap)
     except Exception:
-        _replay(family, x, n_max, node_cap, before)
+        # the tree walk tracks no words: the orbit walk raises at the first
+        # failing word in enumeration order and names it
+        family.apply_calls = before
+        for _ in _orbit_walk(family, x, n_max, node_cap):
+            pass
         raise
-    # a NaN or an infinity makes its sphere's float sum non-finite
-    if any(isinstance(s, float) and not math.isfinite(s) for s in sums):
-        _replay(family, x, n_max, node_cap, before)
-    family.apply_calls = before + ball_size(n_max, family.n_gens) - 1
+    family.apply_calls = before + ball_size(n_max, n_gens) - 1
     return sums
-
-
-def _replay(family: MapFamily, x: Scalar, n_max: int, node_cap: int,
-            before: int) -> None:
-    """Walk the ball word by word with ``apply``, counting from ``before``.
-
-    The tree walk does not track words, and an unbounded family's letter
-    maps check nothing: the orbit walk raises at the first word in
-    enumeration order whose value fails ``apply``'s checks, and names it.
-    It returns when every value passes (a float sum overflowed).
-    """
-    family.apply_calls = before
-    for _ in _orbit_walk(family, x, n_max, node_cap):
-        pass
 
 
 def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,

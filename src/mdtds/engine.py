@@ -75,7 +75,8 @@ class MapFamily:
     calls once per word; a subclass may override it with tighter callables
     that return what ``apply`` returns and raise what it raises.  Such an
     override need not count, and on a domain with no bounds it may leave
-    the NaN/infinity check to the scan, which checks each sphere sum once.
+    the NaN/infinity check to the scan, which checks each sphere sum once
+    and walks a non-finite one's ball again with this base class's maps.
     ``apply_calls`` counts map applications: ``apply`` counts its own calls,
     and a ball scan counts one application per non-root word (an
     instrumentation hook for the one-application-per-edge orbit invariant;
@@ -155,8 +156,9 @@ class CallableMapFamily(MapFamily):
 
         A domain with no bounds holds every value but NaN and the
         infinities, so its maps are the given callables themselves: the
-        scan checks each sphere sum for those values and replays the orbit
-        walk to name the word.  A domain with a bound wraps each callable in
+        scan checks each sphere sum for those values, walks a non-finite
+        one's ball again through ``apply``, and replays the orbit walk only
+        to name a word whose value fails.  A domain with a bound wraps each callable in
         one ``contains`` check, without ``apply``'s dispatch on generator and
         power.  Neither kind counts applications.
         """

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
                    CesaroRow, CircleFamily, Domain, DomainViolationError,
                    EvaluationError, ResourceLimitError, WordSyntaxError,
-                   _kernel_py, affine_and_square_family, ball_enumerate,
+                   _kernels, affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
                    geometric_k_sum, identity_family, sign_ball_sum,
                    orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
 
-from mdtds import circle
+from mdtds import cesaro, circle
 from mdtds.words import DEFAULT_NODE_CAP
 
 from conftest import (LETTER_MAP_FAMILIES, W, fold_spheres, preorder_spheres,
@@ -313,7 +313,7 @@ class TestFloatWalkScans:
     def test_sums_match_a_preorder_walk_bit_for_bit(self, monkeypatch,
                                                     frontier, pairs, domain,
                                                     x, radius):
-        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        monkeypatch.setattr(_kernels, "_FRONTIER", frontier)
         family = CallableMapFamily(pairs, domain, exact=False)
         report = cesaro_scan(family, x, radius)
         assert family.apply_calls == ball_size(radius, family.n_gens) - 1
@@ -375,14 +375,14 @@ class TestWalkedScanChecks:
         try:
             orbit_ball(reference, x, radius)
         except EvaluationError as exc:
-            with mock.patch.object(_kernel_py, "_FRONTIER", frontier), \
+            with mock.patch.object(_kernels, "_FRONTIER", frontier), \
                     pytest.raises(type(exc)) as info:
                 cesaro_scan(family, x, radius)
             assert (type(info.value), info.value.word, str(info.value)) == \
                 (type(exc), exc.word, str(exc))
             assert family.apply_calls == reference.apply_calls
             return
-        with mock.patch.object(_kernel_py, "_FRONTIER", frontier):
+        with mock.patch.object(_kernels, "_FRONTIER", frontier):
             report = cesaro_scan(family, x, radius)
         assert family.apply_calls == ball_size(radius, family.n_gens) - 1
         x = family.coerce_point(x)
@@ -399,6 +399,31 @@ class TestWalkedScanChecks:
             running = running + total
             expected.append(repr(running))
         assert [repr(row.ball_sum) for row in report.rows] == expected
+
+    def test_only_a_failing_value_is_replayed_word_by_word(self,
+                                                           monkeypatch):
+        # every value is finite and only the sums overflow: the ball is
+        # walked again through apply, never word by word
+        def no_orbit_walk(*args):
+            raise AssertionError("the orbit walk replayed the ball")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cesaro, "_orbit_walk", no_orbit_walk)
+            family = _SCANNED["lines 1.00001, 1.00002"]()
+            report = cesaro_scan(family, 1.7e308, 8)
+        assert [repr(row.ball_sum) for row in report.rows] == \
+            ["1.7e+308"] + ["inf"] * 8
+        assert family.apply_calls == ball_size(8, 2) - 1
+        # s1^2 leaves the floats: the orbit walk names it
+        family, reference = (_SCANNED["lines 1.5, 1.25"]() for _ in range(2))
+        with pytest.raises(EvaluationError) as expected:
+            orbit_ball(reference, 1e308, 3)
+        with pytest.raises(EvaluationError) as info:
+            cesaro_scan(family, 1e308, 3)
+        assert (type(info.value), info.value.word, str(info.value)) == \
+            (type(expected.value), expected.value.word, str(expected.value))
+        assert info.value.word == W("s1^2", 2)
+        assert family.apply_calls == reference.apply_calls == 2
 
 
 class TestSignStudy:

@@ -8,8 +8,8 @@ from operator import add
 import pytest
 
 from mdtds import (BankFamily, DomainViolationError, ResourceLimitError,
-                   _kernel_py, _kernels, ball_size, ball_sum_brute,
-                   sign_ball_sum, sign_ball_sum_brute)
+                   _kernels, ball_size, ball_sum_brute,
+                   sign_ball_sum, sign_ball_sum_brute, sphere_size)
 
 from conftest import fold_spheres, preorder_spheres
 
@@ -55,6 +55,22 @@ class TestOrchestration:
         counts = _kernels.traversal_sphere_counts(5000, 1)
         assert counts == [sphere_size(n, 1) for n in range(5001)]
 
+    @pytest.mark.parametrize("n_gens", [1, 2, 3])
+    def test_one_module_walks_each_subtree_by_name(self, monkeypatch, n_gens):
+        # a tracer finds the walk through ``_impl`` and wraps the subtree
+        # walk in this module's namespace, where scan_object looks it up
+        assert _kernels._impl is _kernels
+        walk, roots = _kernels.subtree_scan_object, []
+
+        def counted(n_gens, n_max, maps, x0, root_letter):
+            roots.append(root_letter)
+            return walk(n_gens, n_max, maps, x0, root_letter)
+
+        monkeypatch.setattr(_kernels, "subtree_scan_object", counted)
+        sums = _kernels.scan_object(n_gens, 3, _per_letter(n_gens, _count), 1)
+        assert roots == list(range(2 * n_gens))
+        assert sums == [sphere_size(n, n_gens) for n in range(4)]
+
 
 # a float step that is far from associative: per-letter scales and offsets
 # of mixed magnitudes, so any change in summation order shows in the sums
@@ -78,7 +94,7 @@ class TestLevelOrderWalk:
     ])
     def test_sums_match_a_preorder_walk_bit_for_bit(self, monkeypatch,
                                                     n_gens, n_max, frontier):
-        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        monkeypatch.setattr(_kernels, "_FRONTIER", frontier)
         calls = []
 
         def step(value, letter):
@@ -120,7 +136,7 @@ class TestLevelOrderWalk:
     def test_one_generator_keeps_blocks_of_at_most_a_frontier(self):
         # every level is one word, so only the level cap bounds the cached
         # patterns: 20,000 levels of them would peak near 3 MB
-        _kernel_py._letter_patterns.cache_clear()
+        _kernels._letter_patterns.cache_clear()
         tracemalloc.start()
         try:
             counts = _kernels.traversal_sphere_counts(20_000, 1)
@@ -149,7 +165,7 @@ class TestFolds:
     @pytest.mark.parametrize("q,top", [(4, 9), (6, 9), (8, 7)])
     def test_sign_walk_matches_the_closed_form(self, monkeypatch, frontier,
                                                q, top):
-        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        monkeypatch.setattr(_kernels, "_FRONTIER", frontier)
         for n in range(top + 1):
             assert sign_ball_sum_brute(n, q) == sign_ball_sum(n, q), n
 
@@ -158,7 +174,7 @@ class TestFolds:
                                        (F(4, 3), F(5, 2), F(6, 5))])
     def test_fractional_rate_walk_matches_the_recurrence(self, monkeypatch,
                                                          frontier, rates):
-        monkeypatch.setattr(_kernel_py, "_FRONTIER", frontier)
+        monkeypatch.setattr(_kernels, "_FRONTIER", frontier)
         x = F(7, 3)
         top = 8 if len(rates) == 2 else 6
         for n in range(top + 1):
