@@ -75,24 +75,27 @@ class BankFamily(MapFamily):
         """Per-sphere orbit sums by recurrence (hook for cesaro_scan).
 
         The maps commute, so a word's value is x times its letters' rates in
-        any order.  With S_d[j] the sum over sphere-d words whose leading
-        letter is j and T_d = sum(S_d), prepending j to every word not led by
-        its inverse gives S_{d+1}[j] = m_j * (T_d - S_d[j^1]), m_j the rate
-        of letter j.  Sums are carried as scaled integers (see
-        ``_scaled_steps``) and divided once per sphere.  The work is 2k steps
-        per depth plus the root; ResourceLimitError is raised up front when
-        it exceeds ``node_cap``.
+        any order.  The sphere sums follow the free group's three-term
+        recurrence (see ``circle._sphere_counts``): with m the sum of the
+        letters' rates, T_1 = m T_0, T_2 = m T_1 - q T_0 and
+        T_{d+1} = m T_d - (q - 1) T_{d-1}, q = 2k, since a letter and its
+        inverse multiply to 1.  Sums are carried as scaled integers (see
+        ``_scaled_steps``), where the cancelled pair multiplies by the square
+        of the scale, and divided once per sphere.  The work is one step per
+        depth plus the root; ResourceLimitError is raised up front when it
+        exceeds ``node_cap``.
         """
         scale, steps = self._scaled_steps()
-        work = 1 + len(steps) * n_max
+        work = 1 + n_max
         if work > node_cap:
             raise ResourceLimitError(work, node_cap, unit="steps")
+        step_sum, square, q = sum(steps), scale * scale, len(steps)
         raw = [x.numerator]
-        layer = [0] * len(steps)
-        for _ in range(n_max):
-            total = raw[-1]
-            layer = [m * (total - layer[j ^ 1]) for j, m in enumerate(steps)]
-            raw.append(sum(layer))
+        for depth in range(1, n_max + 1):
+            value = step_sum * raw[-1]
+            if depth > 1:
+                value -= (q if depth == 2 else q - 1) * square * raw[-2]
+            raw.append(value)
         sums, den = [], x.denominator
         for value in raw:
             sums.append(Fraction(value, den))

@@ -3,13 +3,15 @@
 ``cesaro_scan`` computes per-sphere orbit sums once, so every mean
 C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from one pass.
 A family with an ``exact_sphere_sums`` hook (the growth-rate and rotation
-models) supplies the sums from exact counts by leading letter; every other
-family, and a hook that returns None, goes through the tree walk of
-:mod:`mdtds._kernels` with the family's ``letter_maps()``: one unary map per
-signed letter, called once per non-root word of the ball.  A walk that
-succeeds adds the ball's non-root words to ``apply_calls`` once.  A NaN or
-an infinity makes its sphere's sum non-finite, so it is caught once per
-sphere; a non-finite sum walks the ball again through ``apply``, which checks
+models) supplies the sums without a walk, by the free group's three-term
+sphere recurrence: one scaled integer per depth for the growth model, one
+word count per residue and depth for rotations.  Every other family, and a
+hook that returns None, goes through the tree walk of :mod:`mdtds._kernels`
+with the family's ``letter_maps()``: one unary map per signed letter,
+called once per non-root word of the ball.  A walk that succeeds adds the
+ball's non-root words to ``apply_calls`` once.  A NaN or an infinity makes
+its sphere's sum non-finite, so it is caught once per sphere; a non-finite
+sum walks the ball again through ``apply``, which checks
 every value and builds no word.  Only a walk that fails replays the orbit
 walk, which raises at the first failing word in enumeration order and names
 it; sums that overflowed from finite values are returned as they are.  Exact
@@ -101,9 +103,9 @@ def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
                 node_cap: int = DEFAULT_NODE_CAP) -> CesaroReport:
     """Means of the orbit over balls V_0 .. V_n_max, one pass total.
 
-    ``node_cap`` bounds the work: states visited on the recurrence paths,
-    words in the ball on the walk.  ``threads`` is accepted and has no
-    effect.
+    ``node_cap`` bounds the work: recurrence steps (growth model) or
+    residue states held (rotation model) on the recurrence paths, words in
+    the ball on the walk.  ``threads`` is accepted and has no effect.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

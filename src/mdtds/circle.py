@@ -6,7 +6,9 @@ angles and decides integrality outright; it computes each rotation of a
 rational point in integers, as one floor-mod over the product of the two
 denominators.  Approximate mode carries float angles with a tolerance and
 degrades certification accordingly (verdicts are marked uncertified, and
-full-circle answers become undecided).
+full-circle answers become undecided).  Ball sums count sphere words by
+residue with the free group's three-term sphere recurrence, in exact
+integers for both modes.
 """
 from __future__ import annotations
 
@@ -73,20 +75,20 @@ class CircleFamily(MapFamily):
         The maps commute, so a word's orbit value is r/M, r the residue mod
         M of M(x + e.theta) for its exponent vector e and M the common
         denominator of x and the angles (a float is a dyadic rational, so
-        float angles have one too).  Sphere words are counted by (leading
-        letter, residue), prepending letter j to the words not led by its
-        inverse moving the residue by j's step.  Two words share a
-        residue only when their exact values are equal, so no float is ever
-        compared or merged.  Each sphere is one exact integer sum over the
-        residues: a Fraction for exact angles, rounded once to a float for
-        float angles, with values in the seam [1 - tol, 1) counted as 0 (as
-        ``mod1`` does).  So float sums are reproducible bit for bit and
-        agree with the tree walk within rounding.  A float scan whose ball
-        has more words than the largest float is refused with
-        DomainViolationError before any state is counted.  The work is the
-        number of (letter, residue) pairs over all depths plus the root,
-        never more than the ball size; ResourceLimitError is raised once it
-        exceeds ``node_cap``.
+        float angles have one too).  Sphere words are counted by residue
+        alone, with the free group's three-term sphere recurrence (see
+        ``_sphere_counts``).  Two words share a residue only when their
+        exact values are equal, so no float is ever compared or merged.
+        Each sphere is one exact integer sum over the residues: a Fraction
+        for exact angles, rounded once to a float for float angles, with
+        values in the seam [1 - tol, 1) counted as 0 (as ``mod1`` does).  So
+        float sums are reproducible bit for bit and agree with the tree walk
+        within rounding.  A float scan whose ball has more words than the
+        largest float is refused with DomainViolationError before any state
+        is counted.  The work is the number of distinct residues of each
+        sphere, summed over the depths, plus the root: the (depth, exact
+        value) pairs of the orbit ball, never more than the ball size.
+        ResourceLimitError is raised once it exceeds ``node_cap``.
         """
         if not self.exact and _ball_exceeds(n_max, self.n_gens,
                                             sys.float_info.max):
@@ -114,29 +116,30 @@ def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,
                    node_cap: int):
     """Yield {state: number of sphere words} for depths 1 .. n_max.
 
-    The root is ``start``; letter j (``steps[j]``, with j ^ 1 its inverse)
-    moves a state to (state + steps[j]) % modulus.  The counts led by j at
-    depth d + 1 are the depth-d totals less the words led by j's inverse
-    (the non-backtracking recurrence).  ``node_cap`` bounds the (letter,
-    state) pairs visited, plus one for the root.
+    The root is ``start``; letter j moves a state to (state + steps[j]) %
+    modulus.  With A the sum of the q = len(steps) letter shifts, the sphere
+    counts T_d of any action of the free group satisfy T_1 = A T_0,
+    T_2 = A T_1 - q T_0 and T_{d+1} = A T_d - (q - 1) T_{d-1}: prepending a
+    letter to a word of length d >= 1 either lengthens it or cancels its
+    first letter, and each word of length d - 1 arises by cancellation from
+    q - 1 words of length d (q when it is the root).  Zero counts are
+    dropped.  ``node_cap`` bounds the states held: the distinct states of
+    every sphere, plus one for the root.
     """
-    total = {start: 1}
-    layer = [{} for _ in steps]
+    q = len(steps)
+    previous, total = {}, {start: 1}
     work = 1
-    for _ in range(n_max):
-        led = []
-        for j, step in enumerate(steps):
-            avoid = layer[j ^ 1]
-            led.append({(r + step) % modulus: n - avoid.get(r, 0)
-                        for r, n in total.items() if n != avoid.get(r, 0)})
-        layer = led
-        work += sum(map(len, layer))
+    for depth in range(1, n_max + 1):
+        cancel = q if depth == 2 else q - 1
+        counts = {r: -cancel * n for r, n in previous.items()}
+        for step in steps:
+            for r, n in total.items():
+                to = (r + step) % modulus
+                counts[to] = counts.get(to, 0) + n
+        previous, total = total, {r: n for r, n in counts.items() if n}
+        work += len(total)
         if work > node_cap:
             raise ResourceLimitError(work, node_cap, unit="states")
-        total = {}
-        for counts in layer:
-            for r, n in counts.items():
-                total[r] = total.get(r, 0) + n
         yield total
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -34,22 +34,36 @@ from .words import DEFAULT_NODE_CAP, Word, _walk, check_ball_cap
 class Domain:
     """An interval of the reals; None bounds mean unbounded.
 
-    NaN and the infinities are not reals, so no domain contains them.
+    NaN and the infinities are not reals, so no domain contains them.  A
+    float is compared with a float copy of each bound that converts exactly
+    (0, 1, 1/2, ...), which gives the exact comparison's answer without
+    building a Fraction from the float; other bounds are compared as given.
     """
 
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
     lower_open: bool = False
     upper_open: bool = False
+    _float_lower: Optional[Scalar] = field(init=False, repr=False,
+                                           compare=False)
+    _float_upper: Optional[Scalar] = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_float_lower", _float_bound(self.lower))
+        object.__setattr__(self, "_float_upper", _float_bound(self.upper))
 
     def contains(self, x: Scalar) -> bool:
-        if isinstance(x, float) and not math.isfinite(x):
-            return False
-        if self.lower is not None:
-            if x < self.lower or (self.lower_open and x == self.lower):
+        lower, upper = self.lower, self.upper
+        if isinstance(x, float):
+            if not math.isfinite(x):
                 return False
-        if self.upper is not None:
-            if x > self.upper or (self.upper_open and x == self.upper):
+            lower, upper = self._float_lower, self._float_upper
+        if lower is not None:
+            if x < lower or (self.lower_open and x == lower):
+                return False
+        if upper is not None:
+            if x > upper or (self.upper_open and x == upper):
                 return False
         return True
 
@@ -62,6 +76,15 @@ class Domain:
         hi = "+inf" if self.upper is None else str(self.upper)
         return ("(" if self.lower_open or self.lower is None else "[") + \
             f"{lo}, {hi}" + (")" if self.upper_open or self.upper is None else "]")
+
+
+def _float_bound(bound):
+    """``bound`` as a float when the conversion is exact, else as given."""
+    try:
+        copy = float(bound)
+    except (TypeError, OverflowError):
+        return bound
+    return copy if copy == bound else bound
 
 
 class MapFamily:

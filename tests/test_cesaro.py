@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
 
@@ -147,20 +148,22 @@ class TestExactSphereSums:
         assert report.rows == walked.rows
 
     def test_bank_cap_counts_recurrence_steps(self):
-        # 1 root + 4 letters * 200 depths; the ball itself has ~10^95 words
+        # 1 root + 1 step per depth for 200 depths; the ball itself has
+        # ~10^95 words
         report = cesaro_scan(BankFamily([2, 3]), 1, 200)
         assert report.rows[-1].ball_size == ball_size(200, 2)
-        cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=801)
-        with pytest.raises(ResourceLimitError):
-            cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=800)
+        cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=201)
+        with pytest.raises(ResourceLimitError) as err:
+            cesaro_scan(BankFamily([2, 3]), 1, 200, node_cap=200)
+        assert (err.value.requested, err.value.unit) == (201, "steps")
 
     def test_circle_cap_counts_residue_states(self):
         family = CircleFamily([F(1, 5), F(1, 6)])  # common denominator 30
         report = cesaro_scan(family, F(1, 3), 200)
         assert len(report.rows) == 201
         assert 0 <= report.final_mean < 1
-        # at most 4 letters * 30 residues per depth
-        cesaro_scan(family, F(1, 3), 200, node_cap=1 + 200 * 120)
+        # at most 30 residues per sphere
+        cesaro_scan(family, F(1, 3), 200, node_cap=1 + 200 * 30)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, F(1, 3), 200, node_cap=1000)
 
@@ -168,6 +171,45 @@ class TestExactSphereSums:
         family = affine_and_square_family(exact=False)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, 200)
+
+
+@st.composite
+def _count_cases(draw):
+    """(modulus 1-60, start, one step per generator, radius): 1-3
+    generators, radius <= 6, <= 4 on 3 generators."""
+    modulus = draw(st.integers(1, 60))
+    gen_steps = draw(st.lists(st.integers(0, modulus - 1), min_size=1,
+                              max_size=3))
+    radius = draw(st.integers(0, 6 if len(gen_steps) < 3 else 4))
+    return modulus, draw(st.integers(0, modulus - 1)), gen_steps, radius
+
+
+class TestSphereCounts:
+    """The residue counts of the three-term recurrence against a count of
+    every word of the ball."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_count_cases())
+    @example((12, 5, [0, 6], 6))  # a step of 0; a step that is its inverse
+    @example((8, 3, [4, 0, 2], 4))
+    def test_counts_match_enumerated_words(self, case):
+        modulus, start, gen_steps, radius = case
+        spheres = [Counter() for _ in range(radius + 1)]
+        for node in ball_enumerate(radius, len(gen_steps)):
+            value = start + sum(exp * gen_steps[gen - 1]
+                                for gen, exp in node.word.runs)
+            spheres[node.word.length][value % modulus] += 1
+        steps = []
+        for step in gen_steps:
+            steps += [step, -step % modulus]
+        work = 1 + sum(map(len, spheres[1:]))
+        counts = circle._sphere_counts(start, steps, modulus, radius, work)
+        assert list(counts) == [dict(sphere) for sphere in spheres[1:]]
+        if radius:
+            with pytest.raises(ResourceLimitError) as err:
+                list(circle._sphere_counts(start, steps, modulus, radius,
+                                           work - 1))
+            assert (err.value.requested, err.value.unit) == (work, "states")
 
 
 def _float_rows_close(report, walked):
@@ -181,8 +223,9 @@ def _float_rows_close(report, walked):
 
 
 def _vector_states(n_gens, radius):
-    """1 + the (depth, leading letter, exponent vector) triples of the ball,
-    found by enumerating its words: the work of a float circle scan."""
+    """1 + the (depth, exponent vector) pairs of the ball's non-root words,
+    found by enumerating them: the work of a float circle scan whose angles
+    give distinct exponent vectors distinct residues."""
     states = set()
     for node in ball_enumerate(radius, n_gens):
         runs = node.word.runs
@@ -190,8 +233,7 @@ def _vector_states(n_gens, radius):
             vector = [0] * n_gens
             for gen, exp in runs:
                 vector[gen - 1] += exp
-            states.add((node.word.length, runs[0][0], runs[0][1] > 0,
-                        tuple(vector)))
+            states.add((node.word.length, tuple(vector)))
     return 1 + len(states)
 
 
@@ -253,22 +295,37 @@ class TestFloatRotationCounts:
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, 200, node_cap=10_000)
 
-    @pytest.mark.parametrize("n_gens, radius", [(1, 9), (2, 6), (3, 4)])
-    def test_cap_counts_vector_states(self, n_gens, radius):
+    @pytest.mark.parametrize("n_gens, radius, work",
+                             [(1, 9, 19), (2, 6, 139), (3, 4, 154)],
+                             ids=["1-9", "2-6", "3-4"])
+    def test_cap_counts_vector_states(self, n_gens, radius, work):
         family = CircleFamily([0.3, 2 ** 0.5, 0.7][:n_gens], exact=False)
-        work = _vector_states(n_gens, radius)
+        assert work == _vector_states(n_gens, radius)
         assert work <= ball_size(radius, n_gens)
         cesaro_scan(family, 0.1, radius, node_cap=work)
         with pytest.raises(ResourceLimitError):
             cesaro_scan(family, 0.1, radius, node_cap=work - 1)
 
     def test_commensurate_angles_share_residues(self):
-        # (1/2, 1/4) at x = 1/8 has 8 residues: 1,583 states to radius 100,
-        # where exponent vectors need 1,981
+        # (1/2, 1/4) at x = 1/8: residues mod 8 start at 1 and move by the
+        # even steps 4, 4, 2, 6, so each sphere holds at most the 4 odd ones,
+        # and sphere 1 misses 1: 1 + 3 + 99 * 4 = 400 states to radius 100
+        def residue(word):
+            total = 1
+            for gen, exp in word.runs:
+                total += exp * (4, 2)[gen - 1]
+            return total % 8
+        spheres = {}
+        for node in ball_enumerate(8, 2):
+            spheres.setdefault(node.word.length, set()).add(residue(node.word))
+        assert [len(spheres[d]) for d in range(9)] == [1, 3] + [4] * 7
         family = CircleFamily([0.5, 0.25], exact=False)
-        report = cesaro_scan(family, 0.125, 100, node_cap=1583)
+        cesaro_scan(family, 0.125, 8, node_cap=1 + 3 + 7 * 4)
         with pytest.raises(ResourceLimitError):
-            cesaro_scan(family, 0.125, 100, node_cap=1582)
+            cesaro_scan(family, 0.125, 8, node_cap=3 + 7 * 4)
+        report = cesaro_scan(family, 0.125, 100, node_cap=400)
+        with pytest.raises(ResourceLimitError):
+            cesaro_scan(family, 0.125, 100, node_cap=399)
         exact = cesaro_scan(CircleFamily([F(1, 2), F(1, 4)]), F(1, 8), 100)
         for row, other in zip(report.rows, exact.rows):
             assert abs(row.mean - other.mean) <= 1e-15

@@ -130,6 +130,31 @@ class TestMapFamilyContract:
             assert family.apply(x, gen, k) == stepped
 
 
+    @pytest.mark.parametrize("bound", [F(0), F(1), F(1, 3)])
+    @pytest.mark.parametrize("lower_open, upper_open",
+                             [(False, False), (True, True)])
+    def test_float_bounds_answer_as_fractions(self, bound, lower_open,
+                                              upper_open):
+        def fraction_contains(domain, x):
+            x = F(x)
+            low, high = domain.lower, domain.upper
+            return ((low is None or low < x or (x == low and not lower_open))
+                    and (high is None or x < high
+                         or (x == high and not upper_open)))
+        for domain in (Domain(bound, None, lower_open, upper_open),
+                       Domain(None, bound, lower_open, upper_open),
+                       Domain(bound - 1, bound, lower_open, upper_open)):
+            for edge in (domain.lower, domain.upper):
+                if edge is None:
+                    continue
+                near = float(edge)
+                for x in (math.nextafter(near, -math.inf), near,
+                          math.nextafter(near, math.inf)):
+                    assert domain.contains(x) == fraction_contains(domain, x)
+            assert domain == Domain(domain.lower, domain.upper, lower_open,
+                                    upper_open)
+            assert "_float" not in repr(domain)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_no_domain_contains_a_non_finite_point(self, value):
