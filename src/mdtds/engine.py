@@ -79,7 +79,10 @@ class Domain:
 
 
 def _float_bound(bound):
-    """``bound`` as a float when the conversion is exact, else as given."""
+    """``bound`` as a float when the conversion is exact, else as given.
+
+    None (no bound) and a bound past the largest float stay as given.
+    """
     try:
         copy = float(bound)
     except (TypeError, OverflowError):
