@@ -66,12 +66,16 @@ class CesaroReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "CesaroReport":
+        """Read ``to_csv`` text; WordSyntaxError names a malformed row's line."""
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["n", "ball_size", "ball_sum", "C_n"]:
+        if next(reader, None) != ["n", "ball_size", "ball_sum", "C_n"]:
             raise WordSyntaxError("unexpected report header")
-        rows = [CesaroRow(int(n), parse_int(size), parse_scalar(total), parse_scalar(mean))
-                for n, size, total, mean in reader]
+        try:
+            rows = [CesaroRow(int(n), parse_int(size), parse_scalar(total), parse_scalar(mean))
+                    for n, size, total, mean in reader]
+        except ValueError as exc:
+            raise WordSyntaxError(
+                f"malformed report row at line {reader.line_num}") from exc
         return cls(tuple(rows))
 
 

@@ -163,12 +163,6 @@ def evaluate_closed_form(family: CircleFamily, word: Word, x: Scalar) -> Scalar:
     return mod1(x + rotation_of(family, word), family.tol)
 
 
-def _is_integer(family: CircleFamily, value: Scalar) -> bool:
-    if family.exact:
-        return Fraction(value).denominator == 1
-    return abs(value - round(value)) <= family.tol
-
-
 @dataclass(frozen=True)
 class FixedSetVerdict:
     """Either every circle point is fixed or none is.
@@ -185,7 +179,7 @@ class FixedSetVerdict:
 
 def fixed_set(family: CircleFamily) -> FixedSetVerdict:
     for i, angle in enumerate(family.angles, start=1):
-        if not _is_integer(family, angle):
+        if not family.values_equal(angle, round(angle)):
             return FixedSetVerdict("empty", i, certified=family.exact)
     return FixedSetVerdict("full", certified=family.exact)
 
@@ -234,7 +228,7 @@ def periodic_set(family: CircleFamily, spec: SubgroupSpec, search_depth: int,
     if spec.n_gens != family.n_gens:
         raise WordSyntaxError("subgroup and family sizes differ")
     witness, proof = _set_verdict(spec, lambda word: rotation_of(family, word),
-                                  lambda rot: _is_integer(family, rot),
+                                  lambda rot: family.values_equal(rot, round(rot)),
                                   search_depth, node_cap)
     if witness is not None:
         return PeriodicSetVerdict("empty", witness, proof, certified=family.exact)

@@ -96,13 +96,14 @@ class MapFamily:
     Subclasses implement ``apply(x, gen, power)`` meaning the ``power``-th
     iterate (negative powers use the closed-form inverse).  ``exact`` families
     work on Fractions and compare by equality; approximate families work on
-    floats and compare within ``tol``.  ``letter_maps()`` gives the same
-    maps at powers +1 and -1 as 2k unary callables, the ones the ball walk
-    calls once per word; a subclass may override it with tighter callables
-    that return what ``apply`` returns and raise what it raises.  Such an
-    override need not count, and on a domain with no bounds it may leave
-    the NaN/infinity check to the scan, which checks each sphere sum once
-    and walks a non-finite one's ball again with this base class's maps.
+    floats and compare within ``tol``, and ``values_equal`` is the one place
+    that decides which.  ``letter_maps()`` gives the same maps at powers +1
+    and -1 as 2k unary callables, the ones the ball walk calls once per
+    word; a subclass may override it with tighter callables that return
+    what ``apply`` returns and raise what it raises.  Such an override need
+    not count, and on a domain with no bounds it may leave the NaN/infinity
+    check to the scan, which checks each sphere sum once and walks a
+    non-finite one's ball again with this base class's maps.
     ``apply_calls`` counts map applications: ``apply`` counts its own calls,
     and a ball scan counts one application per non-root word (an
     instrumentation hook for the one-application-per-edge orbit invariant;
@@ -156,51 +157,51 @@ class MapFamily:
 class CallableMapFamily(MapFamily):
     """A family given by explicit (forward, inverse) callables per map.
 
-    Powers are iterated one step at a time; every intermediate value is
-    checked against the domain so escapes surface as DomainViolationError.
+    Each signed letter has one checked step, built once: its callable, then
+    a domain check that raises DomainViolationError on the value returned.
+    ``apply`` iterates a power through that step, so every intermediate
+    value is checked.  ``letter_maps()`` gives these same steps on a domain
+    with a bound, and the callables themselves on a domain with none.
     """
 
     def __init__(self, pairs: Sequence, domain: Domain, exact: bool = True,
                  tol: float = DEFAULT_TOL):
         super().__init__(len(pairs), domain, exact, tol)
-        self._pairs = tuple(pairs)
+        # entry 2*(gen-1) + (0 if sign > 0 else 1), as in letter_maps()
+        self._maps = tuple(fn for pair in pairs for fn in pair)
+        self._steps = tuple(_checked_step(fn, domain.contains) for fn in self._maps)
 
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         self.apply_calls += 1
         if not 1 <= gen <= self.n_gens:
             raise WordSyntaxError(f"map index {gen} out of range")
-        fn = self._pairs[gen - 1][0 if power > 0 else 1]
-        value = x
+        step = self._steps[2 * (gen - 1) + (0 if power > 0 else 1)]
         for _ in range(abs(power)):
-            value = fn(value)
-            if not self.domain.contains(value):
-                raise DomainViolationError(value)
-        return value
+            x = step(x)
+        return x
 
     def letter_maps(self) -> list:
-        """Per-letter maps doing what ``apply`` does at power +1 or -1.
+        """The checked steps, or the given callables on a domain with no bounds.
 
         A domain with no bounds holds every value but NaN and the
-        infinities, so its maps are the given callables themselves: the
-        scan checks each sphere sum for those values, walks a non-finite
-        one's ball again through ``apply``, and replays the orbit walk only
-        to name a word whose value fails.  A domain with a bound wraps each callable in
-        one ``contains`` check, without ``apply``'s dispatch on generator and
-        power.  Neither kind counts applications.
+        infinities, so there the scan checks each sphere sum for those
+        values instead, walks a non-finite one's ball again through
+        ``apply``, and replays the orbit walk only to name a word whose
+        value fails.  Neither kind counts applications.
         """
-        domain = self.domain
-        if domain.lower is None and domain.upper is None:
-            return [fn for pair in self._pairs for fn in pair]
-        contains = domain.contains
+        if self.domain.lower is None and self.domain.upper is None:
+            return list(self._maps)
+        return list(self._steps)
 
-        def unit(fn):
-            def step(value):
-                value = fn(value)
-                if not contains(value):
-                    raise DomainViolationError(value)
-                return value
-            return step
-        return [unit(fn) for pair in self._pairs for fn in pair]
+
+def _checked_step(fn, contains):
+    """``fn`` followed by the domain check of the value it returns."""
+    def step(value):
+        value = fn(value)
+        if not contains(value):
+            raise DomainViolationError(value)
+        return value
+    return step
 
 
 def identity_family(n_gens: int = 1) -> CallableMapFamily:
@@ -217,18 +218,10 @@ def affine_and_square_family(exact: bool = True) -> CallableMapFamily:
     only at perfect squares and raises ExactnessError elsewhere; the affine
     inverse leaves [0, 1] below 1/4 and raises DomainViolationError.
     """
-    if exact:
-        a, b = Fraction(3, 4), Fraction(1, 4)
-        pairs = [
-            (lambda v: a * v + b, lambda v: (v - b) / a),
-            (lambda v: v * v, exact_sqrt),
-        ]
-        return CallableMapFamily(pairs, Domain(Fraction(0), Fraction(1)))
-    pairs = [
-        (lambda v: 0.75 * v + 0.25, lambda v: (v - 0.25) / 0.75),
-        (lambda v: v * v, math.sqrt),
-    ]
-    return CallableMapFamily(pairs, Domain(Fraction(0), Fraction(1)), exact=False)
+    a, b, root = ((Fraction(3, 4), Fraction(1, 4), exact_sqrt) if exact
+                  else (0.75, 0.25, math.sqrt))
+    pairs = [(lambda v: a * v + b, lambda v: (v - b) / a), (lambda v: v * v, root)]
+    return CallableMapFamily(pairs, Domain(Fraction(0), Fraction(1)), exact=exact)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -313,8 +306,7 @@ def fixed_point_residual(family: MapFamily, x: Scalar) -> Scalar:
 
 
 def is_fixed(family: MapFamily, x: Scalar) -> bool:
-    residual = fixed_point_residual(family, x)
-    return residual == 0 if family.exact else residual <= family.tol
+    return family.values_equal(fixed_point_residual(family, x), 0)
 
 
 # -- bounded H-fixedness / H-periodicity ----------------------------------------

@@ -452,9 +452,10 @@ def ball_enumerate(radius: int, n_gens: int, *,
     Children are ordered by generator index, sign +1 before -1.  Each word is
     emitted exactly once, parents before children; a child never prepends the
     inverse of its parent's leading letter (no backtracking on the tree).
-    Raises ResourceLimitError when the stream would exceed ``node_cap`` nodes
+    Raises ResourceLimitError when V_radius has more than ``node_cap`` words
     (the root counts as the first, so a cap below 1 refuses it too), and
-    WordSyntaxError for fewer than one generator, both before the first node.
+    WordSyntaxError for fewer than one generator, both at the first ``next``,
+    before any node.
 
     The order is the preorder of ``_walk``, the one walk of the ball behind
     every enumeration here and the pruned member walk of
@@ -464,6 +465,7 @@ def ball_enumerate(radius: int, n_gens: int, *,
     that need no parent (``engine._orbit_walk``, ``cli.cmd_ball``,
     ``sphere_words``, ``ball_decompose``) read ``_walk`` directly.
     """
+    check_ball_cap(radius, n_gens, node_cap)
     walk = _walk(n_gens, radius, node_cap)
     root = next(walk)[0]
     yield BallNode(root, None, None)

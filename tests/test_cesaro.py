@@ -88,6 +88,15 @@ class TestScan:
         report = cesaro_scan(BankFamily([2, 3]), F(1), 3)
         assert CesaroReport.from_csv(report.to_csv()) == report
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected report header"),
+        ("n,ball_size,ball_sum,C_n\n0,1,1\n", "row at line 2"),
+        ("n,ball_size,ball_sum,C_n\n0,1,1,1\none,5,5,1\n", "row at line 3"),
+    ])
+    def test_malformed_csv_is_a_syntax_error(self, text, message):
+        with pytest.raises(WordSyntaxError, match=message):
+            CesaroReport.from_csv(text)
+
     def test_csv_round_trip_past_the_int_text_limit(self):
         # at radius 3,000 the exact sums have about 16,500 digits, far past
         # CPython's 4,300-digit int-to-text limit; the last rows carry them,

@@ -145,6 +145,14 @@ class TestFixedSet:
         assert verdict.kind == "empty" and not verdict.certified
 
 
+    def test_an_angle_of_exactly_tol_is_integral(self):
+        tol = CircleFamily([0.5], exact=False).tol
+        verdict = fixed_set(CircleFamily([tol], exact=False))
+        assert (verdict.kind, verdict.certified) == ("full", False)
+        past = fixed_set(CircleFamily([math.nextafter(tol, 1)], exact=False))
+        assert (past.kind, past.witness_index) == ("empty", 1)
+
+
 class TestPeriodicSet:
     def test_cyclic_square_is_full(self, family):
         verdict = periodic_set(family, CyclicSubgroup(W("s1^2")), 4)

@@ -222,6 +222,49 @@ class TestLetterMaps:
         maps = line.letter_maps()
         assert all(maps[i] is LINE_PAIRS[i // 2][i % 2] for i in range(4))
 
+
+class TestCheckedSteps:
+    """A bounded callable family checks each value in one step per letter:
+    ``apply`` iterates it, and ``letter_maps()`` returns it."""
+
+    @pytest.mark.parametrize("exact, points", [
+        (True, [F(0), F(1, 16), F(1, 5), F(1, 4), F(1, 2), F(9, 16), F(1)]),
+        (False, [0.0, 0.0625, 0.2, 0.25, 0.5, 0.9, 1.0]),
+    ])
+    def test_apply_iterates_the_letter_maps(self, exact, points):
+        family = affine_and_square_family(exact)
+        maps = family.letter_maps()
+        assert all(a is b for a, b in zip(maps, family.letter_maps()))
+
+        def stepped(step, x, k):
+            for _ in range(k):
+                x = step(x)
+            return x
+
+        kinds = set()
+        for x in points:
+            for letter, step in enumerate(maps):
+                gen, sign = letter // 2 + 1, -1 if letter % 2 else 1
+                for k in (1, 2, 3):
+                    expected = _outcome(lambda: family.apply(x, gen, sign * k))
+                    assert _outcome(lambda: stepped(step, x, k)) == expected
+                    kinds.add(expected[0])
+        # the affine inverse leaves [0, 1] below 1/4
+        assert DomainViolationError in kinds
+        assert (ExactnessError in kinds) == exact
+
+
+class TestToleranceBoundary:
+    """Float families compare within ``tol``, its edge included."""
+
+    def test_a_residual_of_exactly_tol_is_fixed(self):
+        def shift(by):
+            return CallableMapFamily([(lambda v: v + by, lambda v: v - by)],
+                                     Domain(), exact=False)
+        tol = shift(0.0).tol
+        assert is_fixed(shift(tol), 0.0)
+        assert not is_fixed(shift(math.nextafter(tol, 1)), 0.0)
+
 class TestOrbitBall:
     def test_radius_zero(self):
         ball = orbit_ball(identity_family(2), F(7), 0)

@@ -305,6 +305,14 @@ class TestEnumeration:
         with pytest.raises(WordSyntaxError, match="at least one generator"):
             next(nodes)
 
+    def test_an_over_cap_ball_yields_no_node(self):
+        # the whole ball is refused at the first next, named by its size
+        nodes = ball_enumerate(3, 2, node_cap=10)
+        with pytest.raises(ResourceLimitError, match="needs 53 nodes, cap is 10") \
+                as info:
+            next(nodes)
+        assert info.value.requested == ball_size(3, 2)
+
     @given(st.integers(1, 3), st.data())
     def test_ball_key_sorts_into_enumeration_order(self, n_gens, data):
         radius = data.draw(st.integers(0, 6 if n_gens < 3 else 4))
