@@ -168,7 +168,7 @@ class CallableMapFamily(MapFamily):
                  tol: float = DEFAULT_TOL):
         super().__init__(len(pairs), domain, exact, tol)
         # entry 2*(gen-1) + (0 if sign > 0 else 1), as in letter_maps()
-        self._maps = tuple(fn for pair in pairs for fn in pair)
+        self._maps = tuple(pair[i] for pair in pairs for i in (0, 1))
         self._steps = tuple(_checked_step(fn, domain.contains) for fn in self._maps)
 
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:

@@ -144,7 +144,6 @@ class TestFixedSet:
         verdict = fixed_set(CircleFamily([0.5, 1.0], exact=False))
         assert verdict.kind == "empty" and not verdict.certified
 
-
     def test_an_angle_of_exactly_tol_is_integral(self):
         tol = CircleFamily([0.5], exact=False).tol
         verdict = fixed_set(CircleFamily([tol], exact=False))

@@ -265,6 +265,7 @@ class TestToleranceBoundary:
         assert is_fixed(shift(tol), 0.0)
         assert not is_fixed(shift(math.nextafter(tol, 1)), 0.0)
 
+
 class TestOrbitBall:
     def test_radius_zero(self):
         ball = orbit_ball(identity_family(2), F(7), 0)
