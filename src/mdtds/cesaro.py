@@ -20,11 +20,14 @@ round it once; other float families sum each sphere in depth-first
 preorder, the walk's fixed reduction order.  Either way output is
 reproducible bit for bit.  The sign study walks from the int 1 with
 ``operator.neg`` as every letter's map, so its sums are exact int sums.
+
+A ``CesaroReport`` is written as plain comma-separated lines by
+:func:`mdtds.scalars.csv_text`, the writer of every table the package
+prints, and read back by splitting each line at its commas, so a number of
+any length reads back.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +36,8 @@ from fractions import Fraction
 from . import _kernels
 from .engine import MapFamily, _orbit_walk
 from .errors import WordSyntaxError
-from .scalars import Scalar, format_scalar, int_text, parse_int, parse_scalar
+from .scalars import (Scalar, csv_text, format_scalar, int_text, parse_int,
+                      parse_scalar)
 from .words import DEFAULT_NODE_CAP, ball_size, check_ball_cap
 
 
@@ -45,9 +49,17 @@ class CesaroRow:
     mean: Scalar
 
 
+_HEADER = ["n", "ball_size", "ball_sum", "C_n"]
+
+
 @dataclass(frozen=True)
 class CesaroReport:
-    """Per-radius ball sums and means."""
+    """Per-radius ball sums and means.
+
+    ``to_csv`` writes the header line and one line per row through
+    :func:`mdtds.scalars.csv_text`: plain comma-separated fields, none
+    quoted, numbers at any size.  ``from_csv`` reads that text back.
+    """
 
     rows: tuple
 
@@ -56,26 +68,31 @@ class CesaroReport:
         return self.rows[-1].mean
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "ball_size", "ball_sum", "C_n"])
-        for row in self.rows:
-            writer.writerow([row.radius, int_text(row.ball_size),
-                             format_scalar(row.ball_sum), format_scalar(row.mean)])
-        return buf.getvalue()
+        return csv_text([_HEADER] + [
+            [row.radius, int_text(row.ball_size), format_scalar(row.ball_sum),
+             format_scalar(row.mean)] for row in self.rows])
 
     @classmethod
     def from_csv(cls, text: str) -> "CesaroReport":
-        """Read ``to_csv`` text; WordSyntaxError names a malformed row's line."""
-        reader = csv.reader(io.StringIO(text))
-        if next(reader, None) != ["n", "ball_size", "ball_sum", "C_n"]:
+        """Read ``to_csv`` text, with ``\\n`` or ``\\r\\n`` line ends.
+
+        Each line is split at its commas, so a field of any length reads;
+        quoted fields, which ``to_csv`` never writes, do not.
+        WordSyntaxError names a malformed row's line, counted from 1 at the
+        header.
+        """
+        lines = text.splitlines()
+        if lines[:1] != [",".join(_HEADER)]:
             raise WordSyntaxError("unexpected report header")
-        try:
-            rows = [CesaroRow(int(n), parse_int(size), parse_scalar(total), parse_scalar(mean))
-                    for n, size, total, mean in reader]
-        except ValueError as exc:
-            raise WordSyntaxError(
-                f"malformed report row at line {reader.line_num}") from exc
+        rows = []
+        for line_num, line in enumerate(lines[1:], 2):
+            try:
+                n, size, total, mean = line.split(",")
+                rows.append(CesaroRow(int(n), parse_int(size), parse_scalar(total),
+                                      parse_scalar(mean)))
+            except ValueError as exc:
+                raise WordSyntaxError(
+                    f"malformed report row at line {line_num}") from exc
         return cls(tuple(rows))
 
 

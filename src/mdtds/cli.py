@@ -6,16 +6,16 @@ and pointwise verdicts), ``paper`` (the named reproduction suite), ``info``
 (active kernel backend).
 
 Exit codes: 0 success (also when the reader closes stdout early), 1 usage
-error, 2 node cap exceeded, 3 domain or exactness violation.  Data goes to
-stdout (or ``--output``), diagnostics to stderr.  ``paper`` refuses any
+error (also an ``--output`` path that cannot be written), 2 node cap
+exceeded, 3 domain or exactness violation.  Data goes to stdout (or
+``--output``), diagnostics to stderr.  Tables are written by
+:func:`mdtds.scalars.csv_text`.  ``paper`` refuses any
 option its item does not read.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -32,7 +32,7 @@ from .engine import (MapFamily, VerifiedUpTo, fixed_point_residual,
                      identity_family, is_fixed, is_h_fixed, is_h_periodic,
                      orbit_ball)
 from .errors import EvaluationError, MdtdsError, ResourceLimitError
-from .scalars import format_scalar, parse_rational
+from .scalars import csv_text, format_scalar, parse_rational
 from .subgroups import parse_subgroup
 from .words import DEFAULT_NODE_CAP, Word, _walk, alphabet, check_ball_cap
 
@@ -109,9 +109,12 @@ def _emit(args, text: str) -> None:
     end = "" if text.endswith("\n") else "\n"
     if args.output in (None, "-"):
         print(text, end=end)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as stream:
             print(text, end=end, file=stream)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _fields(record, *names) -> dict:
@@ -152,15 +155,9 @@ def cmd_ball(args) -> int:
                     "letter": r[3] or None} for r in rows[1:]]
         _emit(args, json.dumps(payload, indent=2))
     else:
-        _emit(args, _csv_text(rows))
+        _emit(args, csv_text(rows))
     print(f"{len(rows) - 1} words", file=sys.stderr)
     return EXIT_OK
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 def cmd_orbit(args) -> int:
@@ -169,7 +166,7 @@ def cmd_orbit(args) -> int:
     ball = orbit_ball(family, x, args.n, node_cap=args.node_cap)
     rows = [["word", "value"]] + [[str(word), format_scalar(value)]
                                   for word, value in ball.items()]
-    _emit(args, _csv_text(rows))
+    _emit(args, csv_text(rows))
     return EXIT_OK
 
 

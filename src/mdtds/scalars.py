@@ -104,6 +104,18 @@ def parse_scalar(text: str) -> Scalar:
     return float(text)
 
 
+def csv_text(rows) -> str:
+    """The package's one table writer: one comma-separated line per row.
+
+    No field the package writes holds a comma, a quote or a line break
+    (numbers come from :func:`format_scalar` or :func:`int_text`, words
+    look like ``s1 s2^-1``, and empty fields are ``""``), so no field is
+    ever quoted: for rows of two or more fields, as every table has, the
+    text is what ``csv.writer`` with ``"\\n"`` line ends writes.
+    """
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def exact_sqrt(value: Fraction) -> Fraction:
     """Square root of a nonnegative rational, when it is rational.
 

@@ -46,7 +46,7 @@ class SignedLetter(NamedTuple):
         return SignedLetter(self.gen, -self.sign)
 
     def __str__(self) -> str:
-        return f"s{self.gen}" if self.sign > 0 else f"s{self.gen}^-1"
+        return _run_text(self)  # the one-letter run (gen, +-1)
 
 
 def alphabet(n_gens: int) -> tuple[SignedLetter, ...]:
@@ -146,17 +146,25 @@ class Word(_WordSlots):
 
     @classmethod
     def from_runs(cls, n_gens: int, runs: Sequence) -> "Word":
+        """The reduced product of ``(generator, exponent)`` runs.
+
+        Every generator must lie in ``1..n_gens`` and every exponent be
+        nonzero; otherwise WordSyntaxError names the run (``zero exponent in
+        s2^0``).  Adjacent runs may share a generator and are merged.
+        """
         for gen, exp in runs:
             if not 1 <= gen <= n_gens:
                 raise WordSyntaxError(f"generator s{gen} out of range 1..{n_gens}")
             if exp == 0:
-                raise WordSyntaxError("zero exponent run")
+                raise WordSyntaxError(f"zero exponent in s{gen}^0")
         return cls(n_gens, _reduce(runs))
 
     @classmethod
     def parse(cls, text: str, n_gens: int) -> "Word":
         """Parse ``e`` or tokens ``s<i>[^<k>]`` separated by spaces or ``*``.
 
+        A token that is not of that form is a ``bad token``; the runs the
+        tokens spell are then checked and reduced by :meth:`from_runs`.
         Parsing, printing and re-parsing is a fixed point: the result is the
         reduced word equal to the written product.
         """
@@ -170,14 +178,8 @@ class Word(_WordSlots):
             m = _TOKEN.match(token)
             if not m:
                 raise WordSyntaxError(f"bad token {token!r}")
-            gen = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            if exp == 0:
-                raise WordSyntaxError(f"zero exponent in {token!r}")
-            if not 1 <= gen <= n_gens:
-                raise WordSyntaxError(f"generator s{gen} out of range 1..{n_gens}")
-            runs.append((gen, exp))
-        return cls(n_gens, _reduce(runs))
+            runs.append((int(m.group(1)), int(m.group(2) or 1)))
+        return cls.from_runs(n_gens, runs)
 
     # -- structure ---------------------------------------------------------
 

@@ -97,6 +97,16 @@ class TestScan:
         with pytest.raises(WordSyntaxError, match=message):
             CesaroReport.from_csv(text)
 
+    def test_csv_round_trip_past_the_csv_field_limit(self):
+        # 140,001 digits, past the csv module's 131,072-character field limit
+        report = CesaroReport((CesaroRow(0, 1, F(10 ** 140000), F(10 ** 140000)),))
+        assert CesaroReport.from_csv(report.to_csv()) == report
+
+    def test_csv_reads_crlf_line_ends(self):
+        report = cesaro_scan(BankFamily([2, 3]), F(1), 3)
+        text = report.to_csv().replace("\n", "\r\n")
+        assert CesaroReport.from_csv(text) == report
+
     def test_csv_round_trip_past_the_int_text_limit(self):
         # at radius 3,000 the exact sums have about 16,500 digits, far past
         # CPython's 4,300-digit int-to-text limit; the last rows carry them,

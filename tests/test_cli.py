@@ -429,6 +429,15 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert len(target.read_text().strip().splitlines()) == 6
 
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "ball.csv"
+        code, out, err = run(capsys, "ball", "--s", "2", "--n", "1",
+                             "--output", str(target))
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            [f"error: cannot write {target}: No such file or directory"]
+        assert "Traceback" not in err
+
 
 class TestClosedStdout:
     """A reader that stops early (``mdtds paper | head -1``) ends the

@@ -1,12 +1,16 @@
+import csv
+import io
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdtds import WordSyntaxError
-from mdtds.scalars import (format_scalar, int_text, parse_int, parse_rational,
-                           parse_scalar)
+from mdtds import SignedLetter, WordSyntaxError
+from mdtds.scalars import (csv_text, format_scalar, int_text, parse_int,
+                           parse_rational, parse_scalar)
+
+from conftest import words_strategy
 
 # CPython refuses int <-> decimal text past 4,300 digits by default
 BIG = 10 ** 5000
@@ -58,3 +62,26 @@ class TestRationalText:
     def test_bad_text_is_a_syntax_error(self, text):
         with pytest.raises(WordSyntaxError):
             parse_rational(text)
+
+
+# the kinds of field the package's tables hold: word and letter text, ints,
+# rational and float text (the float specials too), and the empty field
+_FIELDS = st.one_of(
+    words_strategy(3, 6).map(str),
+    st.integers(0, 5).map(lambda i: str(SignedLetter.from_index(i))),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions().map(format_scalar),
+    st.floats().map(format_scalar),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]).map(format_scalar),
+    st.just(""),
+)
+
+
+class TestCsvText:
+    # every table has two or four columns; csv.writer would quote the
+    # empty field of a one-column row
+    @given(st.lists(st.lists(_FIELDS, min_size=2, max_size=4), max_size=6))
+    def test_matches_the_csv_module(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert csv_text(rows) == buf.getvalue()

@@ -36,10 +36,20 @@ class TestParse:
             word = parse_word(text, 2)
             assert parse_word(str(word), 2) == word
 
-    @pytest.mark.parametrize("bad", ["", "s0", "s3", "s1^0", "x1", "s1^", "s1 q"])
+    @pytest.mark.parametrize("bad", ["", "s0", "s3", "s1^0", "x1", "s1^", "s1 q",
+                                     "s1 s0"])
     def test_rejects(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_word(bad, 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("s1 s2^0", "zero exponent in s2^0"),
+        ("s1^-0", "zero exponent in s1^0"),
+    ])
+    def test_zero_exponent_names_the_run(self, text, message):
+        with pytest.raises(WordSyntaxError) as error:
+            parse_word(text, 2)
+        assert str(error.value) == message
 
 
 class TestGroupOps:
