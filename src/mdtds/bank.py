@@ -45,6 +45,13 @@ class BankFamily(MapFamily):
     def __init__(self, rates: Sequence):
         self.rates = _validate_rates(rates)
         super().__init__(len(self.rates), Domain(lower=Fraction(0), lower_open=True))
+        # exact sphere sums run on scaled integers: with q_i = n_i/d_i and
+        # scale D = prod(n_i d_i), a value at depth k is kept as value * D^k,
+        # so a step by q_i^(+-1) multiplies the kept integer by
+        # n_i^2 * prod_{j!=i}(n_j d_j) or d_i^2 * prod_{j!=i}(n_j d_j)
+        self._scale = math.prod(r.numerator * r.denominator for r in self.rates)
+        self._steps = tuple(self._scale // (r.numerator * r.denominator) * part * part
+                            for r in self.rates for part in (r.numerator, r.denominator))
 
     def apply(self, x: Fraction, gen: int, power: int) -> Fraction:
         self.apply_calls += 1
@@ -55,21 +62,6 @@ class BankFamily(MapFamily):
             return x / rate
         return x * rate ** power
 
-    def _scaled_steps(self) -> tuple:
-        """Integer step multipliers for exact sphere sums without Fractions.
-
-        With q_i = n_i/d_i and scale D = prod(n_i d_i), a value at depth k is
-        stored as value * D^k: stepping by q_i^(+-1) then multiplies the
-        stored integer by n_i^2 * prod_{j!=i}(n_j d_j) or d_i^2 * prod(...).
-        """
-        scale = math.prod(r.numerator * r.denominator for r in self.rates)
-        steps = []
-        for r in self.rates:
-            base = scale // (r.numerator * r.denominator)
-            steps.append(base * r.numerator * r.numerator)
-            steps.append(base * r.denominator * r.denominator)
-        return scale, tuple(steps)
-
     def exact_sphere_sums(self, x: Fraction, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP) -> list:
         """Per-sphere orbit sums by recurrence (hook for cesaro_scan).
@@ -79,27 +71,39 @@ class BankFamily(MapFamily):
         recurrence (see ``circle._sphere_counts``): with m the sum of the
         letters' rates, T_1 = m T_0, T_2 = m T_1 - q T_0 and
         T_{d+1} = m T_d - (q - 1) T_{d-1}, q = 2k, since a letter and its
-        inverse multiply to 1.  Sums are carried as scaled integers (see
-        ``_scaled_steps``), where the cancelled pair multiplies by the square
-        of the scale, and divided once per sphere.  The work is one step per
-        depth plus the root; ResourceLimitError is raised up front when it
-        exceeds ``node_cap``.
+        inverse multiply to 1.  Sums are carried as the family's scaled
+        integers, where the cancelled pair multiplies by the square of the
+        scale, and divided once per sphere (``_unscaled``).  The work is one
+        step per depth plus the root; ResourceLimitError is raised up front
+        when it exceeds ``node_cap``.
         """
-        scale, steps = self._scaled_steps()
         work = 1 + n_max
         if work > node_cap:
             raise ResourceLimitError(work, node_cap, unit="steps")
-        step_sum, square, q = sum(steps), scale * scale, len(steps)
+        step_sum, square, q = sum(self._steps), self._scale ** 2, len(self._steps)
         raw = [x.numerator]
         for depth in range(1, n_max + 1):
             value = step_sum * raw[-1]
             if depth > 1:
                 value -= (q if depth == 2 else q - 1) * square * raw[-2]
             raw.append(value)
+        return self._unscaled(x, raw)
+
+    def _walked_sphere_sums(self, x, radius: int, node_cap: int) -> list:
+        """Per-sphere orbit sums at the point ``x`` by the one tree walk over
+        the scaled integers."""
+        x = self.coerce_point(x)
+        raw = _kernels.scan_object(self.n_gens, radius,
+                                   [step.__mul__ for step in self._steps],
+                                   x.numerator, node_cap=node_cap)
+        return self._unscaled(x, raw)
+
+    def _unscaled(self, x: Fraction, raw: list) -> list:
+        """The Fractions raw[k] / (x.denominator * D^k) of scaled sphere sums."""
         sums, den = [], x.denominator
         for value in raw:
             sums.append(Fraction(value, den))
-            den *= scale
+            den *= self._scale
         return sums
 
 
@@ -202,29 +206,26 @@ def ball_sum_brute(rates: Sequence, x, radius: int, *, threads: int = 1,
     """True sum of orbit values over the ball, by walking every word.
 
     An oracle independent of the recurrence behind
-    :func:`mdtds.cesaro.cesaro_scan`: the walk multiplies scaled integers
-    (see ``BankFamily._scaled_steps``) and divides once per sphere.
-    ``threads`` is accepted and has no effect.
+    :func:`mdtds.cesaro.cesaro_scan`: the walk multiplies the family's
+    scaled integers and divides once per sphere.  ``threads`` is accepted
+    and has no effect.
     """
-    family = BankFamily(rates)
-    x = family.coerce_point(x)
-    scale, steps = family._scaled_steps()
-    raw = _kernels.scan_object(family.n_gens, radius,
-                               [s.__mul__ for s in steps], x.numerator,
-                               node_cap=node_cap)
-    den = x.denominator
-    return sum((Fraction(raw[k], den * scale ** k) for k in range(radius + 1)),
-               Fraction(0))
+    return sum(BankFamily(rates)._walked_sphere_sums(x, radius, node_cap), Fraction(0))
 
 
 def discrepancy_table(rates: Sequence, x, max_radius: int, *,
                       node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Rows (n, brute sum, product-formula sum, equal?) for n = 0..max_radius."""
+    """Rows (n, brute sum, product-formula sum, equal?) for n = 0..max_radius.
+
+    The brute sums are running totals of one walk over the ball of radius
+    ``max_radius``; a ball over ``node_cap`` is refused before that walk.
+    """
     if max_radius < 0:
         raise ValueError("radius must be >= 0")
-    rows = []
-    for n in range(max_radius + 1):
-        brute = ball_sum_brute(rates, x, n, node_cap=node_cap)
+    spheres = BankFamily(rates)._walked_sphere_sums(x, max_radius, node_cap)
+    rows, brute = [], Fraction(0)
+    for n, sphere in enumerate(spheres):
+        brute += sphere
         formula = ball_sum_product_formula(rates, x, n)
         rows.append((n, brute, formula, brute == formula))
     return rows

@@ -68,6 +68,12 @@ class CircleFamily(MapFamily):
             return Fraction(num % den, den)
         return mod1(x + power * angle, self.tol)
 
+    def coerce_point(self, x) -> Scalar:
+        """The base check; an approximate point in the seam [1 - tol, 1) is
+        read as 0, as ``mod1`` reads every map value there."""
+        x = super().coerce_point(x)
+        return x if self.exact else mod1(x, self.tol)
+
     def exact_sphere_sums(self, x: Scalar, n_max: int, *,
                           node_cap: int = DEFAULT_NODE_CAP):
         """Per-sphere orbit sums from exact word counts (hook for cesaro_scan).

@@ -1,13 +1,15 @@
 from decimal import Decimal
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
-                   IntersectionSubgroup, KernelSubgroup,
-                   WordSyntaxError, ball_size, ball_sum_brute,
+                   IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
+                   WordSyntaxError, _kernels, ball_enumerate, ball_size,
+                   ball_sum_brute,
                    ball_sum_product_formula, cesaro_limit,
                    classify_periodicity, discrepancy_table, evaluate,
                    orbit_ball, parse_subgroup, subgroup_ball,
@@ -201,6 +203,33 @@ class TestBallSums:
         with pytest.raises(ValueError, match="radius must be >= 0"):
             discrepancy_table((2, 3), 1, -1)
         assert len(discrepancy_table((2, 3), 1, 0)) == 1
+
+    def test_table_walks_the_largest_ball_once(self):
+        # the brute sums are running totals of one walk of V_6 (1,457
+        # words), not one walk per radius; each is checked against the sum
+        # of word multipliers over ball_enumerate's words
+        totals = [F(0)] * 7
+        for node in ball_enumerate(6, 2):
+            totals[node.word.length] += word_multiplier((2, 3), node.word)
+        expected = []
+        for n in range(7):
+            brute = sum(totals[:n + 1], F(0))
+            formula = ball_sum_product_formula((2, 3), 1, n)
+            expected.append((n, brute, formula, brute == formula))
+        with mock.patch.object(_kernels, "scan_object",
+                               wraps=_kernels.scan_object) as scan:
+            rows = discrepancy_table((2, 3), 1, 6)
+        assert scan.call_count == 1
+        assert rows == expected
+        assert all(type(brute) is F for _, brute, _, _ in rows)
+
+    def test_table_over_the_cap_is_refused_before_any_walk(self):
+        # the refusal names |V_8|, the ball the table would walk
+        with mock.patch.object(_kernels, "subtree_scan_object") as walk, \
+                pytest.raises(ResourceLimitError) as info:
+            discrepancy_table((2, 3), 1, 8, node_cap=1000)
+        assert walk.call_count == 0
+        assert (info.value.requested, info.value.cap) == (ball_size(8, 2), 1000)
 
 
 class TestTrichotomy:

@@ -107,6 +107,18 @@ class TestScan:
         text = report.to_csv().replace("\n", "\r\n")
         assert CesaroReport.from_csv(text) == report
 
+    def test_csv_round_trip_of_float_rows(self):
+        # a float report reads back through parse_scalar's float branch,
+        # the inf rows of a line family whose sums overflow included
+        report = cesaro_scan(_SCANNED["lines 1.00001, 1.00002"](), 1.7e308, 2)
+        assert [row.ball_sum for row in report.rows] == \
+            [1.7e308, math.inf, math.inf]
+        text = report.to_csv()
+        back = CesaroReport.from_csv(text)
+        assert back == report and back.to_csv() == text
+        assert all(type(row.ball_sum) is type(row.mean) is float
+                   for row in back.rows)
+
     def test_csv_round_trip_past_the_int_text_limit(self):
         # at radius 3,000 the exact sums have about 16,500 digits, far past
         # CPython's 4,300-digit int-to-text limit; the last rows carry them,

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdtds import (Balanced, CircleFamily, CyclicSubgroup, EvenCount,
-                   KernelSubgroup, WordSyntaxError,
+                   FullGroup, KernelSubgroup, VerifiedUpTo, WordSyntaxError,
                    ball_size, density_check, evaluate, fixed_set,
-                   fixed_point_residual, is_h_fixed, is_h_periodic, mod1,
+                   fixed_point_residual, is_fixed, is_h_fixed, is_h_periodic, mod1,
                    orbit_ball, parse_subgroup, periodic_set,
                    rational_period_subgroup, rotation_of)
 from mdtds.circle import evaluate_closed_form
@@ -150,6 +150,21 @@ class TestFixedSet:
         assert (verdict.kind, verdict.certified) == ("full", False)
         past = fixed_set(CircleFamily([math.nextafter(tol, 1)], exact=False))
         assert (past.kind, past.witness_index) == ("empty", 1)
+
+    def test_a_point_in_the_seam_is_read_as_zero(self):
+        # mod1 reads every map value in [1 - tol, 1) as 0, so an input point
+        # there is 0 too: the set verdict, the pointwise check and the
+        # subgroup check agree that integer angles fix it
+        family = CircleFamily((1.0, 2.0), exact=False)
+        x = 1 - 1e-10
+        assert fixed_set(family).kind == "full"
+        assert is_fixed(family, x)
+        assert is_h_fixed(family, FullGroup(2), x, 2) == VerifiedUpTo(0, 2)
+        assert family.coerce_point(x) == 0.0
+        assert family.coerce_point(1 - 1e-8) == 1 - 1e-8
+        # an exact point keeps its value
+        exact = 1 - F(1, 10 ** 10)
+        assert CircleFamily((1, 2)).coerce_point(exact) == exact
 
 
 class TestPeriodicSet:

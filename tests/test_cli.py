@@ -176,6 +176,15 @@ VERDICT_JSON = [
   }
 }
 """),
+    ("fixed --model bank --q 2,3", """\
+{
+  "model": "bank",
+  "set": {
+    "kind": "empty",
+    "reason": "all rates exceed 1"
+  }
+}
+"""),
     ("fixed --model bank --q 2,3 --x 1", """\
 {
   "model": "bank",

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from mdtds import (Balanced, CyclicSubgroup, EvenCount, FullGroup,
                    IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
+                   SubgroupSpec,
                    Word, WordSyntaxError, ball_enumerate, ball_size,
                    parse_subgroup, subgroup_ball)
 from mdtds.words import _reduce
@@ -298,6 +300,29 @@ class TestMeta:
         assert CyclicSubgroup(W("s1")).meta().generators == (1,)
         assert CyclicSubgroup(W("s1^-1")).meta().generators == (1,)
         assert CyclicSubgroup(W("s1 s2")).meta().generators == ()
+
+    def test_a_spec_of_no_built_in_kind(self):
+        # its membership oracle still answers, but its index is unknown and
+        # the member walk, which reads only built-in parts, names its class
+        @dataclass(frozen=True)
+        class EvenLength(SubgroupSpec):
+            n_gens: int
+
+            def member(self, word):
+                self._check_group(word)
+                return word.length % 2 == 0
+
+            def __str__(self):
+                return "even-length"
+
+        spec = EvenLength(2)
+        meta = spec.meta()
+        assert (meta.index_kind, meta.index_value, meta.generators) == \
+            ("unknown", None, ())
+        both = IntersectionSubgroup((spec, EvenCount(2, frozenset([1]))))
+        assert both.meta().index_kind == "unknown"
+        with pytest.raises(TypeError, match="no member walk for EvenLength"):
+            subgroup_ball(spec, 2)
 
 
 class TestSpecText:
