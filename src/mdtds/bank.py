@@ -18,11 +18,14 @@ pretending either away; see ``discrepancy_table``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import _kernels
+from .cesaro import _ball_sums
 from .engine import Domain, MapFamily
 from .errors import ResourceLimitError, WordSyntaxError
 from .scalars import to_rational
@@ -63,7 +66,7 @@ class BankFamily(MapFamily):
         return x * rate ** power
 
     def exact_sphere_sums(self, x: Fraction, n_max: int, *,
-                          node_cap: int = DEFAULT_NODE_CAP) -> list:
+                          node_cap: int = DEFAULT_NODE_CAP) -> tuple:
         """Per-sphere orbit sums by recurrence (hook for cesaro_scan).
 
         The maps commute, so a word's value is x times its letters' rates in
@@ -73,9 +76,11 @@ class BankFamily(MapFamily):
         T_{d+1} = m T_d - (q - 1) T_{d-1}, q = 2k, since a letter and its
         inverse multiply to 1.  Sums are carried as the family's scaled
         integers, where the cancelled pair multiplies by the square of the
-        scale, and divided once per sphere (``_unscaled``).  The work is one
-        step per depth plus the root; ResourceLimitError is raised up front
-        when it exceeds ``node_cap``.
+        scale, and returned as they are: ``(raw, x.denominator, D)``, sphere
+        d being raw[d] / (x.denominator * D**d), which ``cesaro_scan``
+        reads with one running integer sum.  The work is one step per depth
+        plus the root; ResourceLimitError is raised up front when it exceeds
+        ``node_cap``.
         """
         work = 1 + n_max
         if work > node_cap:
@@ -87,24 +92,17 @@ class BankFamily(MapFamily):
             if depth > 1:
                 value -= (q if depth == 2 else q - 1) * square * raw[-2]
             raw.append(value)
-        return self._unscaled(x, raw)
+        return raw, x.denominator, self._scale
 
-    def _walked_sphere_sums(self, x, radius: int, node_cap: int) -> list:
+    def _walked_sphere_sums(self, x, radius: int, node_cap: int) -> tuple:
         """Per-sphere orbit sums at the point ``x`` by the one tree walk over
-        the scaled integers."""
+        the scaled integers, in the hook's form ``(raw, x.denominator, D)``."""
         x = self.coerce_point(x)
         raw = _kernels.scan_object(self.n_gens, radius,
-                                   [step.__mul__ for step in self._steps],
+                                   [partial(operator.mul, step)
+                                    for step in self._steps],
                                    x.numerator, node_cap=node_cap)
-        return self._unscaled(x, raw)
-
-    def _unscaled(self, x: Fraction, raw: list) -> list:
-        """The Fractions raw[k] / (x.denominator * D^k) of scaled sphere sums."""
-        sums, den = [], x.denominator
-        for value in raw:
-            sums.append(Fraction(value, den))
-            den *= self._scale
-        return sums
+        return raw, x.denominator, self._scale
 
 
 def evaluate_closed_form(rates: Sequence, word: Word, x) -> Fraction:
@@ -207,10 +205,11 @@ def ball_sum_brute(rates: Sequence, x, radius: int, *, threads: int = 1,
 
     An oracle independent of the recurrence behind
     :func:`mdtds.cesaro.cesaro_scan`: the walk multiplies the family's
-    scaled integers and divides once per sphere.  ``threads`` is accepted
-    and has no effect.
+    scaled integers, and the ball sum is read by the scan's one rule.
+    ``threads`` is accepted and has no effect.
     """
-    return sum(BankFamily(rates)._walked_sphere_sums(x, radius, node_cap), Fraction(0))
+    spheres = BankFamily(rates)._walked_sphere_sums(x, radius, node_cap)
+    return _ball_sums(spheres, True)[-1]
 
 
 def discrepancy_table(rates: Sequence, x, max_radius: int, *,
@@ -218,14 +217,14 @@ def discrepancy_table(rates: Sequence, x, max_radius: int, *,
     """Rows (n, brute sum, product-formula sum, equal?) for n = 0..max_radius.
 
     The brute sums are running totals of one walk over the ball of radius
-    ``max_radius``; a ball over ``node_cap`` is refused before that walk.
+    ``max_radius``, read by the scan's one rule; a ball over ``node_cap``
+    is refused before that walk.
     """
     if max_radius < 0:
         raise ValueError("radius must be >= 0")
     spheres = BankFamily(rates)._walked_sphere_sums(x, max_radius, node_cap)
-    rows, brute = [], Fraction(0)
-    for n, sphere in enumerate(spheres):
-        brute += sphere
+    rows = []
+    for n, brute in enumerate(_ball_sums(spheres, True)):
         formula = ball_sum_product_formula(rates, x, n)
         rows.append((n, brute, formula, brute == formula))
     return rows

@@ -5,21 +5,28 @@ C_n = (sum over the ball V_n) / |V_n| for n <= n_max comes from one pass.
 A family with an ``exact_sphere_sums`` hook (the growth-rate and rotation
 models) supplies the sums without a walk, by the free group's three-term
 sphere recurrence: one scaled integer per depth for the growth model, one
-word count per residue and depth for rotations.  Every other family, and a
-hook that returns None, goes through the tree walk of :mod:`mdtds._kernels`
-with the family's ``letter_maps()``: one unary map per signed letter,
-called once per non-root word of the ball.  A walk that succeeds adds the
+word count per residue and depth for rotations.  The hook returns whole
+numbers ``(raw, den, scale)``: sphere d is raw[d] / (den * scale**d).
+Every other family, and a hook that returns None, goes through the tree
+walk of :mod:`mdtds._kernels` with the family's ``letter_maps()``: one unary
+map per signed letter, called once per non-root word of the ball; its
+sphere sums enter as ``(sums, 1, 1)``.  A walk that succeeds adds the
 ball's non-root words to ``apply_calls`` once.  A NaN or an infinity makes
 its sphere's sum non-finite, so it is caught once per sphere; a non-finite
 sum walks the ball again through ``apply``, which checks
 every value and builds no word.  Only a walk that fails replays the orbit
 walk, which raises at the first failing word in enumeration order and names
-it; sums that overflowed from finite values are returned as they are.  Exact
-families sum in rationals.  Float rotations sum each sphere exactly and
-round it once; other float families sum each sphere in depth-first
-preorder, the walk's fixed reduction order.  Either way output is
-reproducible bit for bit.  The sign study walks from the int 1 with
-``operator.neg`` as every letter's map, so its sums are exact int sums.
+it; sums that overflowed from finite values are returned as they are.
+
+One rule turns sphere sums into ball sums (``_ball_sums``).  An exact
+family keeps one integer running sum, running = running * scale + raw[n],
+and its ball sum is the Fraction running / (den * scale**n); walked
+Fractions are added as they are.  A float family rounds each sphere once,
+raw[d] / (den * scale**d) by correctly rounded integer division, and adds
+the spheres left to right; walked float sums come in the walk's depth-first
+preorder, its fixed reduction order.  Either way output is reproducible bit
+for bit.  The sign study walks from the int 1 with ``operator.neg`` as every
+letter's map, so its sums are exact int sums.
 
 A ``CesaroReport`` is written as plain comma-separated lines by
 :func:`mdtds.scalars.csv_text`, the writer of every table the package
@@ -120,6 +127,34 @@ def _object_sphere_sums(family: MapFamily, x: Scalar, n_max: int,
     return sums
 
 
+def _ball_sums(sphere_sums, exact: bool) -> list:
+    """Ball sums V_0 .. V_n from sphere sums ``(raw, den, scale)``, where
+    sphere d is raw[d] / (den * scale**d).
+
+    Exact: one running sum, running = running * scale + raw[n], whose
+    whole number is read as the Fraction running / (den * scale**n); walked
+    sums, ``(sums, 1, 1)``, are Fractions already and are added as they are.
+    Float: each sphere is rounded once, raw[d] / (den * scale**d), which
+    integer true division rounds correctly, and the spheres are added left
+    to right.
+    """
+    raw, den, scale = sphere_sums
+    out = []
+    if not exact:
+        total = 0.0
+        for value in raw:
+            total += value / den
+            out.append(total)
+            den *= scale
+        return out
+    running = raw[0] - raw[0]  # zero of the right type
+    for value in raw:
+        running = running * scale + value if scale != 1 else running + value
+        out.append(Fraction(running, den) if type(running) is int else running)
+        den *= scale
+    return out
+
+
 def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
                 node_cap: int = DEFAULT_NODE_CAP) -> CesaroReport:
     """Means of the orbit over balls V_0 .. V_n_max, one pass total.
@@ -136,13 +171,15 @@ def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
     if scan_hook is not None:
         sphere_sums = scan_hook(x, n_max, node_cap=node_cap)
     if sphere_sums is None:
-        sphere_sums = _object_sphere_sums(family, x, n_max, node_cap)
+        sphere_sums = (_object_sphere_sums(family, x, n_max, node_cap), 1, 1)
     rows = []
-    running = sphere_sums[0] - sphere_sums[0]  # zero of the right type
-    for n in range(n_max + 1):
-        running = running + sphere_sums[n]
+    for n, total in enumerate(_ball_sums(sphere_sums, family.exact)):
         size = ball_size(n, family.n_gens)
-        rows.append(CesaroRow(n, size, running, running / size))
+        # one gcd against the reduced ball sum: dividing the unreduced
+        # running sum by |V_n| instead is slower at large radii
+        mean = Fraction(total.numerator, total.denominator * size) \
+            if isinstance(total, Fraction) else total / size
+        rows.append(CesaroRow(n, size, total, mean))
     return CesaroReport(tuple(rows))
 
 

@@ -85,16 +85,19 @@ class CircleFamily(MapFamily):
         alone, with the free group's three-term sphere recurrence (see
         ``_sphere_counts``).  Two words share a residue only when their
         exact values are equal, so no float is ever compared or merged.
-        Each sphere is one exact integer sum over the residues: a Fraction
-        for exact angles, rounded once to a float for float angles, with
-        values in the seam [1 - tol, 1) counted as 0 (as ``mod1`` does).  So
-        float sums are reproducible bit for bit and agree with the tree walk
-        within rounding.  A float scan whose ball has more words than the
-        largest float is refused with DomainViolationError before any state
-        is counted.  The work is the number of distinct residues of each
-        sphere, summed over the depths, plus the root: the (depth, exact
-        value) pairs of the orbit ball, never more than the ball size.
-        ResourceLimitError is raised once it exceeds ``node_cap``.
+        Each sphere is one exact integer sum over the residues, with values
+        in the seam [1 - tol, 1) counted as 0 for float angles (as ``mod1``
+        does).  The sums are returned as ``(raw, M, 1)``, raw[0] the start
+        residue and sphere d being raw[d] / M; ``cesaro_scan`` adds them as
+        one running integer for exact angles, and rounds each sphere once
+        for float angles.  So float sums are reproducible bit for bit and
+        agree with the tree walk within rounding.  A float scan whose ball
+        has more words than the largest float is refused with
+        DomainViolationError before any state is counted.  The work is the
+        number of distinct residues of each sphere, summed over the depths,
+        plus the root: the (depth, exact value) pairs of the orbit ball,
+        never more than the ball size.  ResourceLimitError is raised once it
+        exceeds ``node_cap``.
         """
         if not self.exact and _ball_exceeds(n_max, self.n_gens,
                                             sys.float_info.max):
@@ -110,12 +113,10 @@ class CircleFamily(MapFamily):
         start = point.numerator * (modulus // point.denominator)
         seam = modulus if self.exact else \
             math.ceil(Fraction(1.0 - self.tol) * modulus)
-        sums = [x]
+        raw = [start]
         for counts in _sphere_counts(start, steps, modulus, n_max, node_cap):
-            total = Fraction(sum(r * n for r, n in counts.items() if r < seam),
-                             modulus)
-            sums.append(total if self.exact else float(total))
-        return sums
+            raw.append(sum(r * n for r, n in counts.items() if r < seam))
+        return raw, modulus, 1
 
 
 def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,

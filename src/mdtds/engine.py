@@ -81,13 +81,18 @@ class Domain:
 def _float_bound(bound):
     """``bound`` as a float when the conversion is exact, else as given.
 
-    None (no bound) and a bound past the largest float stay as given.
+    None (no bound) and a bound past the largest float stay as given.  The
+    copy is exact when its integer ratio is the bound's, which compares
+    integers, not a Fraction with a float.
     """
+    if bound is None:
+        return None
     try:
         copy = float(bound)
-    except (TypeError, OverflowError):
+        exact = copy.as_integer_ratio() == bound.as_integer_ratio()
+    except (OverflowError, ValueError):  # past the largest float; inf, NaN
         return bound
-    return copy if copy == bound else bound
+    return copy if exact else bound
 
 
 class MapFamily:

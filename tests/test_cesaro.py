@@ -13,8 +13,9 @@ from mdtds import (BankFamily, BoundParams, CallableMapFamily, CesaroReport,
                    EvaluationError, ResourceLimitError, WordSyntaxError,
                    _kernels, affine_and_square_family, ball_enumerate,
                    ball_size, ball_sum_brute, cesaro_bounds, cesaro_scan,
-                   geometric_k_sum, identity_family, sign_ball_sum,
-                   orbit_ball, sign_ball_sum_brute, sign_cesaro, sign_limits)
+                   discrepancy_table, geometric_k_sum, identity_family,
+                   sign_ball_sum, orbit_ball, sign_ball_sum_brute, sign_cesaro,
+                   sign_limits)
 
 from mdtds import cesaro, circle
 from mdtds.words import DEFAULT_NODE_CAP
@@ -168,7 +169,11 @@ class TestExactSphereSums:
         report = cesaro_scan(BankFamily(rates), x, radius)
         walked = cesaro_scan(_walked(BankFamily(rates)), x, radius)
         assert report.rows == walked.rows
+        assert report.to_csv() == walked.to_csv()
         assert ball_sum_brute(rates, x, radius) == report.rows[-1].ball_sum
+        table = discrepancy_table(rates, x, radius)
+        assert [brute for _, brute, _, _ in table] == \
+            [row.ball_sum for row in report.rows]
 
     @settings(max_examples=40, deadline=None)
     @given(_scan_cases(_angles), _circle_points)
@@ -177,6 +182,7 @@ class TestExactSphereSums:
         report = cesaro_scan(CircleFamily(angles), x, radius)
         walked = cesaro_scan(_walked(CircleFamily(angles)), x, radius)
         assert report.rows == walked.rows
+        assert report.to_csv() == walked.to_csv()
 
     def test_bank_cap_counts_recurrence_steps(self):
         # 1 root + 1 step per depth for 200 depths; the ball itself has
@@ -298,6 +304,34 @@ class TestFloatRotationCounts:
         walked = cesaro_scan(_walked(CircleFamily(angles, exact=False)),
                              x, radius)
         _float_rows_close(report, walked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_float_cases, st.floats(0, 1, exclude_max=True))
+    def test_rows_round_each_sphere_once(self, case, x):
+        angles, radius = case
+        family = CircleFamily(angles, exact=False)
+        report = cesaro_scan(family, x, radius)
+        # the reference: each sphere's exact residue sum S over the common
+        # denominator M, float(Fraction(S, M)), added left to right
+        x = family.coerce_point(x)
+        point, *exact = map(F, (x, *family.angles))
+        modulus = math.lcm(point.denominator, *(a.denominator for a in exact))
+        steps = []
+        for a in exact:
+            step = a.numerator * (modulus // a.denominator) % modulus
+            steps += [step, -step % modulus]
+        seam = math.ceil(F(1.0 - family.tol) * modulus)
+        start = point.numerator * (modulus // point.denominator)
+        spheres = [x] + [
+            float(F(sum(r * n for r, n in counts.items() if r < seam), modulus))
+            for counts in circle._sphere_counts(start, steps, modulus, radius,
+                                                DEFAULT_NODE_CAP)]
+        assert len(report.rows) == len(spheres)
+        total = 0.0
+        for row, sphere in zip(report.rows, spheres):
+            total += sphere
+            assert repr(row.ball_sum) == repr(total)
+            assert repr(row.mean) == repr(total / row.ball_size)
 
     @settings(max_examples=40, deadline=None)
     @given(_seam_cases())

@@ -155,6 +155,28 @@ class TestMapFamilyContract:
                                     upper_open)
             assert "_float" not in repr(domain)
 
+    @pytest.mark.parametrize("bound, copy", [
+        (None, None), (F(0), 0.0), (F(1), 1.0), (F(1, 2), 0.5),
+        (F(1, 3), F(1, 3)), (10 ** 400, 10 ** 400)])
+    @pytest.mark.parametrize("is_open", [False, True])
+    def test_a_bound_has_a_float_copy_only_when_exact(self, bound, copy,
+                                                      is_open):
+        probes = [-1.0, 0.0, 1.0, 1e308, F(1, 3), 10 ** 400 - 1, 10 ** 400,
+                  10 ** 400 + 1]
+        if bound is not None and bound < 10 ** 300:
+            near = float(bound)
+            probes += [math.nextafter(near, -math.inf), near,
+                       math.nextafter(near, math.inf), bound]
+        for domain, side in ((Domain(bound, None, lower_open=is_open), 1),
+                             (Domain(None, bound, upper_open=is_open), -1)):
+            held = domain._float_lower if side == 1 else domain._float_upper
+            assert type(held) is type(copy) and held == copy
+            for x in probes:
+                # the exact answer: x on the bound's inside, or on a closed bound
+                inside = bound is None or side * (F(x) - bound) > 0 or \
+                    (F(x) == bound and not is_open)
+                assert domain.contains(x) == inside, (domain, x)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_no_domain_contains_a_non_finite_point(self, value):

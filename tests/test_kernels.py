@@ -178,5 +178,8 @@ class TestFolds:
         x = F(7, 3)
         top = 8 if len(rates) == 2 else 6
         for n in range(top + 1):
-            recurrence = BankFamily(rates).exact_sphere_sums(x, n)
-            assert ball_sum_brute(rates, x, n) == sum(recurrence), n
+            # sphere d is raw[d] / (den * scale**d)
+            raw, den, scale = BankFamily(rates).exact_sphere_sums(x, n)
+            recurrence = sum(F(value, den * scale ** d)
+                             for d, value in enumerate(raw))
+            assert ball_sum_brute(rates, x, n) == recurrence, n
