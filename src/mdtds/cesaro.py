@@ -187,8 +187,11 @@ def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
 
 
 def _check_even_q(q: int) -> int:
+    """|S| for the vertex degree q = 2|S|; a q that is odd or below 4 is
+    refused with WordSyntaxError, a ValueError the CLI reports as a usage
+    error."""
     if q < 4 or q % 2:
-        raise ValueError("q must be an even vertex degree >= 4")
+        raise WordSyntaxError(f"q must be an even vertex degree >= 4, got {q}")
     return q // 2
 
 

@@ -229,13 +229,12 @@ def cmd_periodic(args) -> int:
 
 
 def _degree(text: str) -> int:
+    """An integer degree; the sign study itself refuses one that is odd or
+    below 4 (``cesaro._check_even_q``)."""
     try:
-        q = int(text)
+        return int(text)
     except ValueError as exc:
         raise _UsageError(f"bad degree {text!r}") from exc
-    if q < 4 or q % 2:
-        raise _UsageError(f"degree must be an even integer >= 4, got {text!r}")
-    return q
 
 
 # option -> (runner keyword, parser) for each paper item; the rest read none

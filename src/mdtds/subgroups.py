@@ -16,12 +16,14 @@ Families (over a group on ``n_gens`` generators):
 Membership is purely syntactic per family; there is no general membership
 test for arbitrary finitely generated subgroups.  Searches get a subgroup's
 members from the one preorder walk of the ball, ``words._walk``, pruned by
-``_members`` with a left-action automaton per part (a folded Stallings graph
-for a cyclic part); it tests no word, and the ``member`` methods are the
-independent oracle.  Every structural decision, the index metadata
-(``_index``) among them, reads a spec only through ``_parts``, so
-spellings of one H such as ``S``, ``and(S;full)``, ``and(S;S)`` and nested
-intersections get the same answers.
+``_members`` with one left-action automaton, the product of an automaton
+per part (a folded Stallings graph for a cyclic part) and of the exponent
+sums the ``bal:`` and ``ker:`` parts fix (``_zero_sums``); it tests no
+word, and the ``member`` methods are the independent oracle.  Every
+structural decision, the index metadata (``_index``) among them, reads a
+spec only through ``_parts``, so spellings of one H such as ``S``,
+``and(S;full)``, ``and(S;S)`` and nested intersections get the same
+answers.
 ``_set_verdict`` is the one set-level periodicity rule of the growth and
 rotation models: it reads a witness or a proof that H acts trivially from
 the spec's structure where it can, and searches the members otherwise.
@@ -269,7 +271,8 @@ _DEAD = (None, lambda state, letter: None)
 def _automaton(part: SubgroupSpec, radius: int) -> tuple:
     """``(start, step)`` of a part's left action on V_radius, as
     ``words._walk`` reads it: ``step(state, letter)`` is ``(state, need)``
-    after prepending ``letter``, or None when the state is dead.  A part
+    after prepending ``letter``, or None when the state is dead; the walk
+    keeps each state's moves, so no step caches its own.  A part
     with no member but e within the radius is ``_DEAD``: ``ker:`` keeping
     every generator (only e erases to e) and a cyclic part longer than the
     radius (``|u^n| >= |u|`` for n != 0)."""
@@ -296,7 +299,6 @@ def _automaton(part: SubgroupSpec, radius: int) -> tuple:
         stem = (u_len - v_len) // 2  # |c| for u = c v c^-1
         runs = part.generator_word.runs
         ends = list(accumulate(abs(exp) for _, exp in runs))
-        moves = {}  # vertex -> its edges, built when the walk first leaves it
 
         def letter_at(p):  # the letter of u at 0-based position p
             gen, exp = runs[bisect_right(ends, p)]
@@ -321,14 +323,26 @@ def _automaton(part: SubgroupSpec, radius: int) -> tuple:
                     out[letter_at(p - 1)] = reached(p - 1)
             return out
 
+        # the walk keeps each vertex's moves, so edges are built when it
+        # leaves a vertex and never for one it does not reach: the graph
+        # stays bounded by the words visited, not by |u|
         def step(vertex, letter):
-            try:
-                return moves[vertex].get(letter)
-            except KeyError:
-                moves[vertex] = edges(vertex)
-                return moves[vertex].get(letter)
+            return edges(vertex).get(letter)
         return 0, step
     raise TypeError(f"no member walk for {type(part).__name__}")
+
+
+def _zero_sums(n_gens: int, indices: frozenset) -> tuple:
+    """``(start, step)`` of the exponent sums of the generators in
+    ``indices``: the state is the sums by generator (slot 0 unused), and
+    ``need`` is their L1 norm, since a prepended letter moves one sum by
+    one."""
+    def step(sums, letter):
+        gen = letter.gen
+        if gen in indices:
+            sums = sums[:gen] + (sums[gen] + letter.sign,) + sums[gen + 1:]
+        return sums, sum(map(abs, sums))
+    return (0,) * (n_gens + 1), step
 
 
 def _product(automata: list) -> tuple:
@@ -351,8 +365,12 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
     (``_parts``: nested intersections flattened, repeats and ``full`` left
     out) become the walk's prune:
 
-    * ``bal:`` parts and the kept generators of ``ker:`` parts: the
-      generators in ``summed``, whose exponent sums must all be zero;
+    * ``bal:`` parts and the kept generators of ``ker:`` parts: one
+      ``_zero_sums`` over the union of the generators they fix, whose
+      exponent sums must all be zero, with ``need`` their L1 norm (over the
+      union, which prunes more than any one part's); left out when one
+      ``ker:`` part keeps every one of those generators, since its image is
+      never shorter than that norm, so the sums would prune nothing;
     * ``even:I``: an automaton on the parity of the letters in I;
     * ``ker:K``: the reduced image on K, with ``need`` its length;
     * ``cyclic:u`` with ``u = c v c^-1``: the vertex reached by reading
@@ -360,22 +378,27 @@ def _members(spec: SubgroupSpec, radius: int, node_cap: int) -> Iterator[Word]:
       path c and then the cycle v, with ``need`` its distance to the base
       and a missing edge dead; at most ``1 + 2 * radius`` words are visited,
       plus ``|c|`` per member.  A vertex's edges are read from the runs of
-      ``u`` when the walk first leaves it, so the graph built is bounded by
-      the words visited, not by ``|u|``.
+      ``u`` when the walk leaves it, so the graph built is bounded by the
+      words visited, not by ``|u|``.
 
     A part with no member but e within the radius (``ker:`` keeping every
     generator, a cyclic part longer than the radius) is dead below the root
     (see ``_automaton``), so the walk ends at the root.  Several automata
-    run as their product, with ``need`` the largest.  The root and each
-    visited word count against ``node_cap``, and past it ResourceLimitError
-    is raised (a cap below 1 refuses the root), so a search that stops at a
-    witness has done only the work up to it.
+    run as their product, with ``need`` the largest, and the walk is handed
+    that one automaton; it steps each state once per letter (see
+    ``words._walk`` for the bound on the states it keeps).  The root and
+    each visited word count against ``node_cap``, and past it
+    ResourceLimitError is raised (a cap below 1 refuses the root), so a
+    search that stops at a witness has done only the work up to it.
     """
     parts = _parts(spec)
-    summed = frozenset().union(*(
+    fixed = frozenset().union(*(
         p.indices for p in parts if isinstance(p, (Balanced, KernelSubgroup))))
     automata = [_automaton(p, radius) for p in parts if not isinstance(p, Balanced)]
-    walk = _walk(spec.n_gens, radius, node_cap, summed,
+    if fixed and not any(isinstance(p, KernelSubgroup) and fixed <= p.indices
+                         for p in parts):
+        automata.append(_zero_sums(spec.n_gens, fixed))
+    walk = _walk(spec.n_gens, radius, node_cap,
                  automata[0] if len(automata) == 1 else
                  _product(automata) if automata else None)
     next(walk)  # e: checked and counted first, and not yielded

@@ -11,7 +11,8 @@ value is exactly one map application of its parent's value.  The enumerated
 set is the full ball ``V_n`` either way.  One preorder walk, ``_walk``,
 visits the ball for every reader: ``ball_enumerate`` adds each word's
 parent to it, the other enumerations read it directly, and the subgroup
-member walk (``subgroups._members``) runs it pruned.
+member walk (``subgroups._members``) runs it pruned by the one automaton
+it is handed.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import ResourceLimitError, WordSyntaxError
 
 DEFAULT_NODE_CAP = 100_000_000
+# rows of moves a pruned walk holds (see ``_walk``): some automata meet a new
+# state at nearly every word, and a row for each would grow with the walk
+_MOVE_ROWS = 4096
 
 Run = tuple  # (generator index >= 1, nonzero exponent)
 
@@ -368,7 +372,7 @@ class BallNode(NamedTuple):
     letter: Optional[SignedLetter]
 
 
-def _walk(n_gens: int, radius: int, node_cap: int, summed=frozenset(),
+def _walk(n_gens: int, radius: int, node_cap: int,
           automaton=None) -> Iterator[tuple]:
     """Yield ``(word, letter)`` in preorder over V_radius, pruned on request.
 
@@ -379,14 +383,18 @@ def _walk(n_gens: int, radius: int, node_cap: int, summed=frozenset(),
     before it, and words come in the order of their letter indices read from
     the right end (the path from the root), a word before its extensions.
 
-    Each visited word carries ``need``, a lower bound on the letters still
-    to prepend to reach a wanted word, 0 exactly at one: the L1 norm of the
-    exponent sums of the generators in ``summed`` (a prepended letter moves
-    one sum by one), or the need of ``automaton``, a ``(start, step)`` left
-    action with ``step(state, letter)`` giving ``(state, need)`` or None when
-    dead, whichever is larger.  A subtree whose state is dead or with
-    ``|w| + need > radius`` is skipped unvisited, and only the words with
-    ``need == 0`` are yielded and built; with no prune every word is.
+    The one prune is ``automaton``, a ``(start, step)`` left action with
+    ``step(state, letter)`` giving ``(state, need)`` or None when dead;
+    ``need`` is a lower bound on the letters still to prepend to reach a
+    wanted word, 0 exactly at one.  The walk keeps each state's row of 2k
+    ``step`` results in ``moves``, built the first time it leaves that
+    state, so ``step`` runs once per distinct (state, letter) while the
+    walk meets at most ``_MOVE_ROWS`` states; past that, a full ``moves``
+    is emptied and rows are built again as states come back, so its memory
+    stays bounded however many words the walk visits.  A subtree whose
+    state is dead or with ``|w| + need > radius`` is skipped unvisited, and
+    only the words with ``need == 0`` are yielded and built; with no
+    automaton every word is.
 
     The root and each visited word count against ``node_cap``, and past it
     ResourceLimitError is raised (a cap below 1 refuses the root).
@@ -397,23 +405,23 @@ def _walk(n_gens: int, radius: int, node_cap: int, summed=frozenset(),
         raise ResourceLimitError(1, node_cap)
     if n_gens < 1:
         raise WordSyntaxError("need at least one generator")
+    letters = alphabet(n_gens)
     start, step = automaton or (None, None)
-    at_start = (start, 0)
+    # state -> its (state, need) after each letter, in letter index order
+    moves = {} if step else {None: [(None, 0)] * len(letters)}
     # per letter in descending index order, so that the stack pops children
-    # in ascending order: index, letter, gen, sign, one-letter runs, summed?
-    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),),
-              letter.gen in summed)
-             for li, letter in reversed(tuple(enumerate(alphabet(n_gens))))]
-    # entries: runs, length, exponent sums by generator (slot 0 unused),
-    # their L1 norm, the automaton's (state, need), and the letter prepended
-    stack = [((), 0, (0,) * (n_gens + 1), 0, at_start, None)]
+    # in ascending order: index, letter, gen, sign, one-letter runs
+    table = [(li, letter, letter.gen, letter.sign, ((letter.gen, letter.sign),))
+             for li, letter in reversed(tuple(enumerate(letters)))]
+    # entries: runs, length, the automaton's (state, need), the letter prepended
+    stack = [((), 0, (start, 0), None)]
     count = 0
     while stack:
-        runs, depth, sums, off, (state, need), letter = stack.pop()
+        runs, depth, (state, need), letter = stack.pop()
         count += 1
         if count > node_cap:
             raise ResourceLimitError(count, node_cap)
-        if not (off or need):
+        if not need:
             # Word(n_gens, runs, depth) with the slots filled in place
             word = _blank(_WordSlots)
             word.n_gens = n_gens
@@ -423,28 +431,24 @@ def _walk(n_gens: int, radius: int, node_cap: int, summed=frozenset(),
             yield word, letter
         if depth == radius:
             continue
+        row = moves.get(state)
+        if row is None:
+            if len(moves) >= _MOVE_ROWS:
+                moves.clear()
+            row = moves[state] = [step(state, each) for each in letters]
         # the root has no head: generator 0 blocks and merges with no letter
         head_gen, head_exp = runs[0] if runs else (0, 0)
         blocked = 2 * head_gen - (1 if head_exp > 0 else 2)  # inverse of the head
         tail = runs[1:]
         depth += 1
         room = radius - depth  # the largest need a child may have
-        for li, letter, gen, sign, run, in_summed in table:
-            if li == blocked:
+        for li, letter, gen, sign, run in table:
+            got = row[li]
+            if li == blocked or got is None or got[1] > room:
                 continue
-            child_off = off
-            if in_summed:
-                child_off += -1 if sums[gen] * sign < 0 else 1
-            if child_off > room:
-                continue
-            got = at_start if step is None else step(state, letter)
-            if got is None or got[1] > room:
-                continue
-            child_sums = (sums[:gen] + (sums[gen] + sign,) + sums[gen + 1:]
-                          if in_summed else sums)
             # the letter merges into a leading run of its generator
             stack.append((((gen, head_exp + sign),) + tail if gen == head_gen
-                          else run + runs, depth, child_sums, child_off, got, letter))
+                          else run + runs, depth, got, letter))
 
 
 def ball_enumerate(radius: int, n_gens: int, *,

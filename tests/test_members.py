@@ -1,10 +1,11 @@
 """Subgroup members found by one automaton walk, against the whole-ball walk.
 
-``subgroups._members`` walks the ball once, carrying a left-action automaton
-per part of the spec, and skips every subtree that holds no member.  Every
-test here compares it, or a verdict built on it, with the reference that
-tests each word of a ball built without that walk, or counts the words it
-visits.
+``subgroups._members`` walks the ball once, carrying one left-action
+automaton (the product of one per part of the spec and of the exponent sums
+the ``bal:`` and ``ker:`` parts fix), and skips every subtree that holds no
+member.  Every test here compares it, or a verdict built on it, with the
+reference that tests each word of a ball built without that walk, or counts
+the words it visits.
 """
 import functools
 import itertools
@@ -23,7 +24,7 @@ from mdtds import (Balanced, BankFamily, CircleFamily, Counterexample,
                    VerifiedUpTo, Word, ball_enumerate, ball_size,
                    classify_periodicity, is_h_fixed, parse_subgroup,
                    periodic_set, stable_set_check)
-from mdtds import engine, subgroups
+from mdtds import engine, subgroups, words
 from mdtds.subgroups import _members
 
 from conftest import W, ball_key, words_strategy
@@ -251,6 +252,65 @@ class TestWorkDone:
             got.extend(stream)
         assert (info.value.requested, info.value.cap) == (17, 16)
         assert got == list(reference(spec, 8))[:7]
+
+    @pytest.mark.parametrize("text, n_gens, radius, nodes", [
+        ("bal:", 2, 6, 205),
+        ("bal:1", 3, 5, 1649),
+        ("ker:1,2", 3, 5, 419),
+        ("and(bal:1;ker:2,3)", 3, 5, 69),
+        ("and(ker:1,2;ker:2,3)", 3, 5, 53),
+        ("and(even:1,2;bal:1)", 2, 6, 443),
+        ("and(bal:1,2;even:1,2)", 2, 6, 205),
+        ("and(even:1;cyclic:s1*s2)", 2, 10, 19)])
+    def test_visited_node_counts_are_pinned(self, monkeypatch, text, n_gens,
+                                            radius, nodes):
+        # the walk visits exactly ``nodes`` words, the root included: a lone
+        # kernel prunes by its image alone, and the zero-sum prune of several
+        # parts reads the union of the generators they fix; a table of moves
+        # emptied every two states changes neither
+        spec = parse_subgroup(text, n_gens)
+        for rows in (words._MOVE_ROWS, 2):
+            monkeypatch.setattr(words, "_MOVE_ROWS", rows)
+            assert list(_members(spec, radius, nodes)) == list(reference(spec, radius))
+            with pytest.raises(ResourceLimitError,
+                               match=f"needs {nodes} nodes, cap is {nodes - 1}$"):
+                list(_members(spec, radius, nodes - 1))
+
+    def test_a_walk_holds_a_bounded_table_of_moves(self, monkeypatch):
+        # two kernels meet a new product state at nearly every word, and a
+        # row kept for each would grow with the walk (1.6 MiB here); a full
+        # table is emptied instead
+        spec = parse_subgroup("and(ker:1,2;ker:2,3)", 3)
+        members = list(_members(spec, 8, CAP))
+        monkeypatch.setattr(words, "_MOVE_ROWS", 16)
+        tracemalloc.start()
+        try:
+            assert list(_members(spec, 8, CAP)) == members
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+
+    @pytest.mark.parametrize("text, n_gens, radius, states", [
+        ("even:1,2", 2, 6, 2), ("cyclic:s1^3", 2, 3000, 3)])
+    def test_each_state_is_stepped_once_per_letter(self, text, n_gens, radius,
+                                                   states):
+        # the walk keeps each state's moves, so a part's step runs once per
+        # state and letter, not once per child word
+        calls = []
+        automaton = subgroups._automaton
+
+        def counted(part, radius):
+            start, step = automaton(part, radius)
+
+            def counting(state, letter):
+                calls.append((state, letter))
+                return step(state, letter)
+            return start, counting
+        with mock.patch.object(subgroups, "_automaton", counted):
+            subgroups.subgroup_ball(parse_subgroup(text, n_gens), radius,
+                                    node_cap=10_000)
+        assert len(set(calls)) == len(calls) <= states * 2 * n_gens
 
     @pytest.mark.parametrize("angles, text, cap, witness", [
         ((F(1, 3), F(1, 5)), "cyclic:s1", 20, "s1"),
