@@ -39,6 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels
 from .engine import MapFamily, _orbit_walk
@@ -48,8 +49,14 @@ from .scalars import (Scalar, csv_text, format_scalar, int_text, parse_int,
 from .words import DEFAULT_NODE_CAP, ball_size, check_ball_cap
 
 
-@dataclass(frozen=True)
-class CesaroRow:
+class CesaroRow(NamedTuple):
+    """One radius of a scan: |V_n|, the ball sum and the mean C_n.
+
+    A ``NamedTuple``, so a row is immutable, unpacks as
+    ``n, size, total, mean = row`` and compares equal to the plain tuple of
+    its fields.
+    """
+
     radius: int
     ball_size: int
     ball_sum: Scalar
@@ -173,13 +180,17 @@ def cesaro_scan(family: MapFamily, x: Scalar, n_max: int, *, threads: int = 1,
     if sphere_sums is None:
         sphere_sums = (_object_sphere_sums(family, x, n_max, node_cap), 1, 1)
     rows = []
+    new_row = tuple.__new__
+    # |V_0| = 1, and sphere d has q (q - 1)**(d - 1) words, q = 2k
+    size, sphere, branch = 1, 2 * family.n_gens, 2 * family.n_gens - 1
     for n, total in enumerate(_ball_sums(sphere_sums, family.exact)):
-        size = ball_size(n, family.n_gens)
         # one gcd against the reduced ball sum: dividing the unreduced
         # running sum by |V_n| instead is slower at large radii
         mean = Fraction(total.numerator, total.denominator * size) \
             if isinstance(total, Fraction) else total / size
-        rows.append(CesaroRow(n, size, total, mean))
+        rows.append(new_row(CesaroRow, (n, size, total, mean)))
+        size += sphere
+        sphere *= branch
     return CesaroReport(tuple(rows))
 
 

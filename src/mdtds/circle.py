@@ -7,15 +7,19 @@ rational point in integers, as one floor-mod over the product of the two
 denominators.  Approximate mode carries float angles with a tolerance and
 degrades certification accordingly (verdicts are marked uncertified, and
 full-circle answers become undecided).  Ball sums count sphere words by
-residue with the free group's three-term sphere recurrence, in exact
-integers for both modes.
+residue with the free group's three-term sphere recurrence, or, in small
+balls, by exponent vector from a table made once per generator count and
+radius, in exact integers for both modes.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .engine import Domain, MapFamily
@@ -55,6 +59,13 @@ class CircleFamily(MapFamily):
         super().__init__(len(self.angles),
                          Domain(Fraction(0), Fraction(1), upper_open=True),
                          exact=exact, tol=tol)
+        # exact sphere sums run on residues: each angle as a whole number over
+        # the angles' common denominator
+        exact_angles = tuple(map(Fraction, self.angles))
+        den = math.lcm(*(a.denominator for a in exact_angles))
+        self._angle_den = den
+        self._angle_nums = tuple(a.numerator * (den // a.denominator)
+                                 for a in exact_angles)
 
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         self.apply_calls += 1
@@ -84,38 +95,61 @@ class CircleFamily(MapFamily):
         float angles have one too).  Sphere words are counted by residue
         alone, with the free group's three-term sphere recurrence (see
         ``_sphere_counts``).  Two words share a residue only when their
-        exact values are equal, so no float is ever compared or merged.
-        Each sphere is one exact integer sum over the residues, with values
-        in the seam [1 - tol, 1) counted as 0 for float angles (as ``mod1``
-        does).  The sums are returned as ``(raw, M, 1)``, raw[0] the start
-        residue and sphere d being raw[d] / M; ``cesaro_scan`` adds them as
-        one running integer for exact angles, and rounds each sphere once
-        for float angles.  So float sums are reproducible bit for bit and
-        agree with the tree walk within rounding.  A float scan whose ball
-        has more words than the largest float is refused with
-        DomainViolationError before any state is counted.  The work is the
-        number of distinct residues of each sphere, summed over the depths,
-        plus the root: the (depth, exact value) pairs of the orbit ball,
-        never more than the ball size.  ResourceLimitError is raised once it
-        exceeds ``node_cap``.
+        exact values are equal, so no float is ever compared or merged.  A
+        ball with at most ``_VECTOR_ENTRIES`` (depth, exponent vector)
+        pairs is summed from its word counts by vector instead
+        (``_sphere_vectors``, ``_vector_sums``), at a cost set by k and the
+        radius alone, when the recurrence's bound on its dict updates,
+        2k min(M, vectors) a sphere, is larger.  The pairs bound the
+        residues, and the table is used only when they are within
+        ``node_cap``, so both paths give the same sums and refusals.  The
+        angles as whole numbers over their common denominator are built
+        once, when the family is made; the seam is read from ``tol`` on each
+        call, as ``mod1`` reads it.  Each sphere is one exact integer sum
+        over the residues, sum(r * count) in C, less the residues at or
+        above the seam M(1 - tol), since values in the seam [1 - tol, 1)
+        count as 0 for float angles (as ``mod1`` does); exact angles have no
+        seam states, their seam being M.  The sums are returned as
+        ``(raw, M, 1)``, raw[0] the start residue and sphere d being
+        raw[d] / M; ``cesaro_scan`` adds them as one running integer for exact
+        angles, and rounds each sphere once for float angles.  So float sums
+        are reproducible bit for bit and agree with the tree walk within
+        rounding.  A float scan whose ball has more words than the largest
+        float is refused with DomainViolationError before any state is
+        counted.  The work is the number of distinct residues of each
+        sphere, summed over the depths, plus the root: the (depth, exact
+        value) pairs of the orbit ball, never more than the ball size.
+        ResourceLimitError is raised once it exceeds ``node_cap``.
         """
         if not self.exact and _ball_exceeds(n_max, self.n_gens,
                                             sys.float_info.max):
             raise DomainViolationError(math.inf, detail=(
                 f"the ball of radius {n_max} has more words than the largest "
                 "float"))
-        point, *angles = map(Fraction, (x, *self.angles))
-        modulus = math.lcm(point.denominator, *(a.denominator for a in angles))
+        point = Fraction(x)
+        modulus = math.lcm(point.denominator, self._angle_den)
+        widen = modulus // self._angle_den
         steps = []
-        for a in angles:
-            step = a.numerator * (modulus // a.denominator) % modulus
+        for num in self._angle_nums:
+            step = num * widen % modulus
             steps += [step, -step % modulus]
         start = point.numerator * (modulus // point.denominator)
         seam = modulus if self.exact else \
             math.ceil(Fraction(1.0 - self.tol) * modulus)
+        # the dicts update at most min(M, size) states a letter for each
+        # sphere; when that passes the table's entries, sum by vector
+        sizes = _vector_sizes(self.n_gens, n_max)
+        entries = sum(sizes)
+        if entries and entries < node_cap and \
+                len(steps) * sum(min(modulus, s) for s in sizes) > entries:
+            return _vector_sums(start, steps[::2], modulus, seam,
+                                _sphere_vectors(self.n_gens, n_max)), modulus, 1
         raw = [start]
         for counts in _sphere_counts(start, steps, modulus, n_max, node_cap):
-            raw.append(sum(r * n for r, n in counts.items() if r < seam))
+            total = sum(map(operator.mul, counts, counts.values()))
+            if seam < modulus:
+                total -= sum(r * counts[r] for r in filter(seam.__le__, counts))
+            raw.append(total)
         return raw, modulus, 1
 
 
@@ -129,25 +163,124 @@ def _sphere_counts(start: int, steps: list, modulus: int, n_max: int,
     T_2 = A T_1 - q T_0 and T_{d+1} = A T_d - (q - 1) T_{d-1}: prepending a
     letter to a word of length d >= 1 either lengthens it or cancels its
     first letter, and each word of length d - 1 arises by cancellation from
-    q - 1 words of length d (q when it is the root).  Zero counts are
-    dropped.  ``node_cap`` bounds the states held: the distinct states of
-    every sphere, plus one for the root.
+    q - 1 words of length d (q when it is the root).  A letter permutes
+    the residues, so sphere d starts as a dict of one letter's moves of
+    sphere d - 1 and the other letters add to it.  Only a state of sphere
+    d - 2 can lose count, when ``cancel * n`` is taken off it in place, and
+    each such state is already a key: a word of sphere d - 2 lengthened by
+    a letter and then shortened by its inverse.  A state whose count
+    reaches 0 is deleted, so every yielded count is positive.  ``node_cap``
+    bounds the states held: the distinct states of every sphere, plus one
+    for the root.
     """
     q = len(steps)
+    first, *rest = steps
     previous, total = {}, {start: 1}
     work = 1
     for depth in range(1, n_max + 1):
         cancel = q if depth == 2 else q - 1
-        counts = {r: -cancel * n for r, n in previous.items()}
-        for step in steps:
+        counts = {(r + first) % modulus: n for r, n in total.items()}
+        get = counts.get
+        for step in rest:
             for r, n in total.items():
                 to = (r + step) % modulus
-                counts[to] = counts.get(to, 0) + n
-        previous, total = total, {r: n for r, n in counts.items() if n}
+                counts[to] = get(to, 0) + n
+        for r, n in previous.items():
+            left = counts[r] - cancel * n
+            if left:
+                counts[r] = left
+            else:
+                del counts[r]
+        previous, total = total, counts
         work += len(total)
         if work > node_cap:
             raise ResourceLimitError(work, node_cap, unit="states")
         yield total
+
+
+# Sphere word counts by exponent vector are kept for balls with at most this
+# many (depth, vector) entries, the vectors of radius 21 on two generators.
+_VECTOR_ENTRIES = 1 << 12
+
+
+@lru_cache(maxsize=64)
+def _vector_sizes(n_gens: int, n_max: int) -> tuple:
+    """For d = 1 .. n_max, how many exponent vectors e in Z^k (k = n_gens)
+    have |e|_1 <= d and |e|_1 = d mod 2: those a word of length d can have.
+
+    () when their sum passes ``_VECTOR_ENTRIES``.  There are
+    sum_j 2^j C(k, j) C(m - 1, j - 1) vectors with |e|_1 = m >= 1: choose
+    the j nonzero places, their signs, and a composition of m into j parts.
+    """
+    below, sizes, total = [1, 0], [], 0
+    for m in range(1, n_max + 1):
+        below[m % 2] += sum(2 ** j * math.comb(n_gens, j) * math.comb(m - 1, j - 1)
+                            for j in range(1, min(n_gens, m) + 1))
+        total += below[m % 2]
+        if total > _VECTOR_ENTRIES:
+            return ()
+        sizes.append(below[m % 2])
+    return tuple(sizes)
+
+
+@lru_cache(maxsize=16)
+def _sphere_vectors(n_gens: int, n_max: int) -> tuple:
+    """Sphere words of F_k counted by exponent vector, for depths 1 .. n_max.
+
+    Returns ``(columns, rows)``.  ``columns[p]`` holds the k coordinate
+    tuples of the vectors e with |e|_1 = p mod 2 that some sphere of that
+    parity reaches, in order of |e|_1; ``rows[d - 1]`` counts the words of
+    length d with each of the first of those vectors, up to the last with
+    |e|_1 <= d.  The counts do not depend on the angles, so they are made
+    once per (k, n_max) with ``_sphere_counts`` on Z^k, each vector written
+    as one whole number in base 2 n_max + 1 (coordinates offset by n_max),
+    where no step wraps.
+    """
+    base = 2 * n_max + 1
+    places = [base ** i for i in range(n_gens)]
+    top, root = base ** n_gens, n_max * sum(places)
+    spheres = list(_sphere_counts(root, [s for p in places for s in (p, top - p)],
+                                  top, n_max, DEFAULT_NODE_CAP))
+
+    def vector(code):
+        return tuple(code // p % base - n_max for p in places)
+
+    orders = []
+    for parity in (0, 1):
+        reached = {root} if parity == 0 else set()
+        for counts in spheres[1 - parity::2]:
+            reached.update(counts)
+        orders.append(sorted((sum(map(abs, vector(c))), c) for c in reached))
+    columns = tuple(tuple(zip(*(vector(c) for _, c in order))) for order in orders)
+    rows = tuple(tuple(counts.get(c, 0) for norm, c in orders[d % 2] if norm <= d)
+                 for d, counts in enumerate(spheres, 1))
+    return columns, rows
+
+
+def _vector_sums(start: int, gen_steps: list, modulus: int, seam: int,
+                 vectors: tuple) -> list:
+    """Sphere residue sums from ``_sphere_vectors``, as ``_sphere_counts``
+    gives them: a vector e has residue (start + e . gen_steps) mod modulus,
+    and residues at or above ``seam`` count as 0.
+
+    Each parity's residues are made once, in C, and each sphere is one
+    sum of counts times residues over a prefix of them, so the work is
+    set by the number of vectors alone, not by how the residues collide.
+    """
+    columns, rows = vectors
+    residues = []
+    for cols in columns:
+        size = len(cols[0]) if cols else 0
+        values = repeat(start, size)
+        for col, step in zip(cols, gen_steps):
+            values = map(operator.add, values,
+                         map(operator.mul, col, repeat(step, size)))
+        parity = list(map(operator.mod, values, repeat(modulus, size)))
+        if seam < modulus and max(parity, default=0) >= seam:
+            parity = [r if r < seam else 0 for r in parity]
+        residues.append(parity)
+    return [start] + [sum(map(operator.mul, row, residues[d % 2]))
+                      for d, row in enumerate(rows, 1)]
 
 
 def rotation_of(family: CircleFamily, word: Word) -> Scalar:

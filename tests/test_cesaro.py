@@ -34,10 +34,14 @@ class TestScan:
         assert report.rows[1].ball_sum == F(41, 6)
         assert report.rows[1].mean == F(41, 30)
 
-    def test_row_consistency(self):
-        report = cesaro_scan(BankFamily([2, 3]), F(2, 3), 5)
+    @pytest.mark.parametrize("rates, radius", [([2], 12), ([2, 3], 5),
+                                               ([2, 3, 5], 5)],
+                             ids=["line", "two_rates", "three_rates"])
+    def test_row_consistency(self, rates, radius):
+        report = cesaro_scan(BankFamily(rates), F(2, 3), radius)
+        assert len(report.rows) == radius + 1
         for row in report.rows:
-            assert row.ball_size == ball_size(row.radius, 2)
+            assert row.ball_size == ball_size(row.radius, len(rates))
             assert row.mean == F(row.ball_sum, row.ball_size)
 
     def test_matches_per_sphere_brute_force(self):
@@ -229,6 +233,7 @@ class TestSphereCounts:
     @given(_count_cases())
     @example((12, 5, [0, 6], 6))  # a step of 0; a step that is its inverse
     @example((8, 3, [4, 0, 2], 4))
+    @example((60, 5, [7], 6))  # earlier spheres' counts cancel to zero
     def test_counts_match_enumerated_words(self, case):
         modulus, start, gen_steps, radius = case
         spheres = [Counter() for _ in range(radius + 1)]
@@ -247,6 +252,58 @@ class TestSphereCounts:
                 list(circle._sphere_counts(start, steps, modulus, radius,
                                            work - 1))
             assert (err.value.requested, err.value.unit) == (work, "states")
+
+
+class TestSphereVectors:
+    """Sums by exponent vector against the residue counts, and the table's
+    shape against the ball."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_count_cases(), st.integers(0, 60))
+    @example((60, 5, [7], 6), 60)
+    @example((12, 5, [0, 6], 6), 7)  # seam residues count as 0
+    def test_sums_match_residue_counts(self, case, seam):
+        modulus, start, gen_steps, radius = case
+        steps = []
+        for step in gen_steps:
+            steps += [step, -step % modulus]
+        expected = [start] + [
+            sum(r * n for r, n in counts.items() if r < seam)
+            for counts in circle._sphere_counts(start, steps, modulus, radius,
+                                                DEFAULT_NODE_CAP)]
+        vectors = circle._sphere_vectors(len(gen_steps), radius)
+        assert circle._vector_sums(start, gen_steps, modulus, min(seam, modulus),
+                                   vectors) == expected
+
+    @pytest.mark.parametrize("n_gens, radius", [(1, 7), (2, 6), (3, 4)])
+    def test_rows_cover_each_sphere(self, n_gens, radius):
+        columns, rows = circle._sphere_vectors(n_gens, radius)
+        sizes = circle._vector_sizes(n_gens, radius)
+        assert tuple(map(len, rows)) == sizes
+        q = 2 * n_gens
+        assert [sum(row) for row in rows] == \
+            [q * (q - 1) ** (d - 1) for d in range(1, radius + 1)]
+        if n_gens > 1:
+            # every vector of a sphere's parity is some word's, except the
+            # zero vector at depth 2, which stands in for the root here
+            assert sum(sizes) == _vector_states(n_gens, radius)
+
+    def test_table_stops_at_its_entry_limit(self):
+        assert 0 < sum(circle._vector_sizes(2, 21)) <= circle._VECTOR_ENTRIES
+        assert circle._vector_sizes(2, 22) == ()
+
+    @pytest.mark.parametrize("family, x, radius", [
+        (CircleFamily([F(1, 7), F(3, 5)]), F(0), 8),
+        (CircleFamily([F(1, 2), F(3, 4)]), F(1, 2), 8),
+        (CircleFamily([F(1, 4), F(11, 14), F(15, 29)]), F(1, 5), 5),
+        (CircleFamily([1 / 3, 0.6], exact=False), 0.2, 9),
+        (CircleFamily([2 ** 0.5 - 1, 0.59], exact=False), 0.1, 10)],
+        ids=["exact", "small-M", "three", "float-seam", "float"])
+    def test_scan_is_the_same_without_the_table(self, family, x, radius,
+                                                monkeypatch):
+        report = cesaro_scan(family, x, radius).to_csv()
+        monkeypatch.setattr(circle, "_vector_sizes", lambda *args: ())
+        assert cesaro_scan(family, x, radius).to_csv() == report
 
 
 def _float_rows_close(report, walked):
