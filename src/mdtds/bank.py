@@ -46,19 +46,25 @@ class BankFamily(MapFamily):
     """f_i(x) = q_i * x on (0, +inf), with exact rational rates q_i > 1."""
 
     def __init__(self, rates: Sequence):
-        self.rates = _validate_rates(rates)
-        super().__init__(len(self.rates), Domain(lower=Fraction(0), lower_open=True))
+        self._rates = _validate_rates(rates)
+        super().__init__(len(self._rates), Domain(lower=Fraction(0), lower_open=True))
         # exact sphere sums run on scaled integers: with q_i = n_i/d_i and
         # scale D = prod(n_i d_i), a value at depth k is kept as value * D^k,
         # so a step by q_i^(+-1) multiplies the kept integer by
         # n_i^2 * prod_{j!=i}(n_j d_j) or d_i^2 * prod_{j!=i}(n_j d_j)
-        self._scale = math.prod(r.numerator * r.denominator for r in self.rates)
+        self._scale = math.prod(r.numerator * r.denominator for r in self._rates)
         self._steps = tuple(self._scale // (r.numerator * r.denominator) * part * part
-                            for r in self.rates for part in (r.numerator, r.denominator))
+                            for r in self._rates for part in (r.numerator, r.denominator))
+
+    @property
+    def rates(self) -> tuple:
+        """The rates as checked when the family was made; read-only, since
+        the scans read the scale and multipliers built from them then."""
+        return self._rates
 
     def apply(self, x: Fraction, gen: int, power: int) -> Fraction:
         self.apply_calls += 1
-        rate = self.rates[gen - 1]
+        rate = self._rates[gen - 1]
         if power == 1:
             return x * rate
         if power == -1:

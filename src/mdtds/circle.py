@@ -9,7 +9,12 @@ degrades certification accordingly (verdicts are marked uncertified, and
 full-circle answers become undecided).  Ball sums count sphere words by
 residue with the free group's three-term sphere recurrence, or, in small
 balls, by exponent vector from a table made once per generator count and
-radius, in exact integers for both modes.
+radius, in exact integers for both modes.  Permuting the generators or
+inverting some of them is an automorphism of the free group that keeps word
+length, so how many words of a sphere have exponent vector e depends only
+on the multiset of |e_i|: the table keeps one count per signed-permutation
+orbit of vectors, and a scan adds each orbit's residues once and multiplies
+that sum by the orbit's count.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .engine import Domain, MapFamily
@@ -49,27 +54,33 @@ class CircleFamily(MapFamily):
         if not angles:
             raise WordSyntaxError("need at least one angle")
         if exact:
-            self.angles = tuple(to_rational(a, "angle") for a in angles)
+            self._angles = tuple(to_rational(a, "angle") for a in angles)
         else:
-            self.angles = tuple(float(a) for a in angles)
-            if not all(map(math.isfinite, self.angles)):
+            self._angles = tuple(float(a) for a in angles)
+            if not all(map(math.isfinite, self._angles)):
                 raise WordSyntaxError("angles must be finite")
-        if any(a <= 0 for a in self.angles):
+        if any(a <= 0 for a in self._angles):
             raise WordSyntaxError("angles must be positive")
-        super().__init__(len(self.angles),
+        super().__init__(len(self._angles),
                          Domain(Fraction(0), Fraction(1), upper_open=True),
                          exact=exact, tol=tol)
         # exact sphere sums run on residues: each angle as a whole number over
         # the angles' common denominator
-        exact_angles = tuple(map(Fraction, self.angles))
+        exact_angles = tuple(map(Fraction, self._angles))
         den = math.lcm(*(a.denominator for a in exact_angles))
         self._angle_den = den
         self._angle_nums = tuple(a.numerator * (den // a.denominator)
                                  for a in exact_angles)
 
+    @property
+    def angles(self) -> tuple:
+        """The angles as checked when the family was made; read-only, since
+        the scans read the residue form built from them then."""
+        return self._angles
+
     def apply(self, x: Scalar, gen: int, power: int) -> Scalar:
         self.apply_calls += 1
-        angle = self.angles[gen - 1]
+        angle = self._angles[gen - 1]
         if self.exact and isinstance(x, Fraction):
             # (x + power*angle) mod 1 as one floor-mod over the product of
             # the denominators; Fraction() divides out their gcd
@@ -225,16 +236,23 @@ def _vector_sizes(n_gens: int, n_max: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _sphere_vectors(n_gens: int, n_max: int) -> tuple:
-    """Sphere words of F_k counted by exponent vector, for depths 1 .. n_max.
+    """Sphere words of F_k counted by exponent vector, for depths 1 .. n_max,
+    one count per signed-permutation orbit of the vector.
 
-    Returns ``(columns, rows)``.  ``columns[p]`` holds the k coordinate
+    Permuting the generators or inverting some of them maps reduced words
+    to reduced words of the same length, so the words of length d with
+    exponent vector e are as many as those with any signed permutation of
+    e: the count depends only on the multiset of |e_i|.  Returns
+    ``(columns, bounds, rows)``.  ``columns[p]`` holds the k coordinate
     tuples of the vectors e with |e|_1 = p mod 2 that some sphere of that
-    parity reaches, in order of |e|_1; ``rows[d - 1]`` counts the words of
-    length d with each of the first of those vectors, up to the last with
-    |e|_1 <= d.  The counts do not depend on the angles, so they are made
-    once per (k, n_max) with ``_sphere_counts`` on Z^k, each vector written
-    as one whole number in base 2 n_max + 1 (coordinates offset by n_max),
-    where no step wraps.
+    parity reaches, listed orbit by orbit, orbits in order of |e|_1;
+    orbit j is the slice ``bounds[p][j]:bounds[p][j + 1]`` of them.
+    ``rows[d - 1]`` holds, for each orbit of parity d mod 2 with
+    |e|_1 <= d, in that order, how many words of length d have any one
+    vector of the orbit.  The counts do not depend on the angles, so they
+    are made once per (k, n_max) with ``_sphere_counts`` on Z^k, each
+    vector written as one whole number in base 2 n_max + 1 (coordinates
+    offset by n_max), where no step wraps.
     """
     base = 2 * n_max + 1
     places = [base ** i for i in range(n_gens)]
@@ -245,16 +263,24 @@ def _sphere_vectors(n_gens: int, n_max: int) -> tuple:
     def vector(code):
         return tuple(code // p % base - n_max for p in places)
 
-    orders = []
+    columns, bounds, heads = [], [], []
     for parity in (0, 1):
         reached = {root} if parity == 0 else set()
         for counts in spheres[1 - parity::2]:
             reached.update(counts)
-        orders.append(sorted((sum(map(abs, vector(c))), c) for c in reached))
-    columns = tuple(tuple(zip(*(vector(c) for _, c in order))) for order in orders)
-    rows = tuple(tuple(counts.get(c, 0) for norm, c in orders[d % 2] if norm <= d)
+        orbits = {}
+        for code in sorted(reached):
+            orbits.setdefault(tuple(sorted(map(abs, vector(code)))), []).append(code)
+        order = sorted(orbits, key=lambda key: (sum(key), key))
+        codes = [code for key in order for code in orbits[key]]
+        # k columns even when a parity has no vectors (radius 0)
+        columns.append(tuple(tuple(code // p % base - n_max for code in codes)
+                             for p in places))
+        bounds.append(tuple(accumulate((len(orbits[key]) for key in order), initial=0)))
+        heads.append([(sum(key), orbits[key][0]) for key in order])
+    rows = tuple(tuple(counts.get(code, 0) for norm, code in heads[d % 2] if norm <= d)
                  for d, counts in enumerate(spheres, 1))
-    return columns, rows
+    return tuple(columns), tuple(bounds), rows
 
 
 def _vector_sums(start: int, gen_steps: list, modulus: int, seam: int,
@@ -263,23 +289,44 @@ def _vector_sums(start: int, gen_steps: list, modulus: int, seam: int,
     gives them: a vector e has residue (start + e . gen_steps) mod modulus,
     and residues at or above ``seam`` count as 0.
 
-    Each parity's residues are made once, in C, and each sphere is one
-    sum of counts times residues over a prefix of them, so the work is
-    set by the number of vectors alone, not by how the residues collide.
+    Each parity's residues are made once: one comprehension over the first
+    two coordinates and one pass per further generator, the last of them
+    reducing, by a mask when the modulus is a power of two (as it is for
+    every float family).  The words of a sphere with any vector of one
+    signed-permutation orbit are equally many, so each orbit's residues
+    are added once, as differences of their prefix sums at the orbit
+    bounds, and each sphere is the sum of its orbit counts times those orbit
+    sums.  The work is set by the numbers of vectors and orbits alone, not
+    by how the residues collide.
     """
-    columns, rows = vectors
-    residues = []
-    for cols in columns:
-        size = len(cols[0]) if cols else 0
-        values = repeat(start, size)
-        for col, step in zip(cols, gen_steps):
-            values = map(operator.add, values,
-                         map(operator.mul, col, repeat(step, size)))
-        parity = list(map(operator.mod, values, repeat(modulus, size)))
-        if seam < modulus and max(parity, default=0) >= seam:
-            parity = [r if r < seam else 0 for r in parity]
-        residues.append(parity)
-    return [start] + [sum(map(operator.mul, row, residues[d % 2]))
+    columns, bounds, rows = vectors
+    mask = modulus - 1
+    power_of_two = not modulus & mask
+    # one generator reads as two, the second with step and coordinates 0
+    first, second = (*gen_steps, 0)[:2]
+    orbit_sums = []
+    for cols, ends in zip(columns, bounds):
+        pairs = zip(cols[0], cols[1] if len(cols) > 1 else repeat(0))
+        if len(cols) > 2:
+            # a pass per further generator; only the last one reduces
+            values = [start + a * first + b * second for a, b in pairs]
+            for col, step in zip(cols[2:-1], gen_steps[2:-1]):
+                values = [v + c * step for v, c in zip(values, col)]
+            col, step = cols[-1], gen_steps[-1]
+            if power_of_two:
+                residues = [(v + c * step) & mask for v, c in zip(values, col)]
+            else:
+                residues = [(v + c * step) % modulus for v, c in zip(values, col)]
+        elif power_of_two:
+            residues = [(start + a * first + b * second) & mask for a, b in pairs]
+        else:
+            residues = [(start + a * first + b * second) % modulus for a, b in pairs]
+        if seam < modulus and max(residues, default=0) >= seam:
+            residues = [r if r < seam else 0 for r in residues]
+        totals = list(accumulate(residues, initial=0))
+        at = [totals[end] for end in ends]
+        orbit_sums.append(list(map(operator.sub, at[1:], at)))
+    return [start] + [sum(map(operator.mul, row, orbit_sums[d % 2]))
                       for d, row in enumerate(rows, 1)]
 
 

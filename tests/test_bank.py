@@ -10,7 +10,7 @@ from mdtds import (Balanced, BankFamily, CyclicSubgroup, EvenCount,
                    IntersectionSubgroup, KernelSubgroup, ResourceLimitError,
                    WordSyntaxError, _kernels, ball_enumerate, ball_size,
                    ball_sum_brute,
-                   ball_sum_product_formula, cesaro_limit,
+                   ball_sum_product_formula, cesaro_limit, cesaro_scan,
                    classify_periodicity, discrepancy_table, evaluate,
                    orbit_ball, parse_subgroup, subgroup_ball,
                    word_multiplier)
@@ -38,6 +38,17 @@ class TestEvaluation:
             BankFamily([1, 2])
         with pytest.raises(WordSyntaxError):
             evaluate_closed_form((2, 3), W("s1"), 0)
+
+    def test_rates_are_read_only(self):
+        # the scan reads the scale and multipliers built from the rates when
+        # the family is made, so a reassigned rate would make it disagree
+        # with apply
+        family = BankFamily([2, 3])
+        with pytest.raises(AttributeError):
+            family.rates = (F(5), F(7))
+        assert family.rates == (F(2), F(3))
+        assert cesaro_scan(family, F(1), 3).rows[-1].ball_sum == \
+            ball_sum_brute(family.rates, F(1), 3)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"),
                                       Decimal("NaN"), "x"])

@@ -1,7 +1,9 @@
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
@@ -275,14 +277,48 @@ class TestSphereVectors:
         assert circle._vector_sums(start, gen_steps, modulus, min(seam, modulus),
                                    vectors) == expected
 
+    @pytest.mark.parametrize("n_gens", [1, 2, 3, 4])
+    def test_counts_are_equal_across_signed_permutations(self, n_gens):
+        # what the orbit rows rely on: a signed permutation of the generators
+        # maps reduced words to reduced words of the same length, so each
+        # sphere's words with vector e are as many as with any signed
+        # permutation of e; counted on Z^k in base 2 radius + 1
+        radius = 6
+        base = 2 * radius + 1
+        places = [base ** i for i in range(n_gens)]
+        top = base ** n_gens
+        steps = [s for p in places for s in (p, top - p)]
+        for counts in circle._sphere_counts(radius * sum(places), steps, top,
+                                            radius, DEFAULT_NODE_CAP):
+            orbits = {}
+            for code, n in counts.items():
+                vector = tuple(code // p % base - radius for p in places)
+                orbits.setdefault(tuple(sorted(map(abs, vector))), {})[vector] = n
+            for key, found in orbits.items():
+                assert set(found) == _signed_permutations(key)
+                assert len(set(found.values())) == 1
+
     @pytest.mark.parametrize("n_gens, radius", [(1, 7), (2, 6), (3, 4)])
     def test_rows_cover_each_sphere(self, n_gens, radius):
-        columns, rows = circle._sphere_vectors(n_gens, radius)
+        columns, bounds, rows = circle._sphere_vectors(n_gens, radius)
         sizes = circle._vector_sizes(n_gens, radius)
-        assert tuple(map(len, rows)) == sizes
+        # sphere d's orbits hold the vectors that _vector_sizes counts
+        assert tuple(bounds[d % 2][len(row)] for d, row in enumerate(rows, 1)) \
+            == sizes
         q = 2 * n_gens
-        assert [sum(row) for row in rows] == \
+        orbit_sizes = [[b - a for a, b in zip(ends, ends[1:])] for ends in bounds]
+        assert [sum(map(operator.mul, row, orbit_sizes[d % 2]))
+                for d, row in enumerate(rows, 1)] == \
             [q * (q - 1) ** (d - 1) for d in range(1, radius + 1)]
+        # each orbit is one vector's signed permutations, in order of |e|_1
+        for cols, ends in zip(columns, bounds):
+            vectors = list(zip(*cols))
+            assert len(vectors) == ends[-1]
+            norms = [sum(map(abs, vectors[a])) for a in ends[:-1]]
+            assert norms == sorted(norms)
+            for a, b in zip(ends, ends[1:]):
+                assert len(set(vectors[a:b])) == b - a
+                assert set(vectors[a:b]) == _signed_permutations(vectors[a])
         if n_gens > 1:
             # every vector of a sphere's parity is some word's, except the
             # zero vector at depth 2, which stands in for the root here
@@ -296,9 +332,10 @@ class TestSphereVectors:
         (CircleFamily([F(1, 7), F(3, 5)]), F(0), 8),
         (CircleFamily([F(1, 2), F(3, 4)]), F(1, 2), 8),
         (CircleFamily([F(1, 4), F(11, 14), F(15, 29)]), F(1, 5), 5),
+        (CircleFamily([F(1, 3), F(2, 7), F(3, 11), F(5, 13)]), F(1, 4), 6),
         (CircleFamily([1 / 3, 0.6], exact=False), 0.2, 9),
         (CircleFamily([2 ** 0.5 - 1, 0.59], exact=False), 0.1, 10)],
-        ids=["exact", "small-M", "three", "float-seam", "float"])
+        ids=["exact", "small-M", "three", "four", "float-seam", "float"])
     def test_scan_is_the_same_without_the_table(self, family, x, radius,
                                                 monkeypatch):
         report = cesaro_scan(family, x, radius).to_csv()
@@ -314,6 +351,14 @@ def _float_rows_close(report, walked):
         assert row.ball_size == other.ball_size
         tol = 1e-9 * (abs(other.ball_sum) + other.ball_size)
         assert abs(row.ball_sum - other.ball_sum) <= tol
+
+
+def _signed_permutations(vector):
+    """Every vector made from ``vector`` by permuting its coordinates and
+    negating some of them."""
+    return {tuple(sign * a for sign, a in zip(signs, order))
+            for order in permutations(vector)
+            for signs in product((1, -1), repeat=len(vector))}
 
 
 def _vector_states(n_gens, radius):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mdtds import (Balanced, CircleFamily, CyclicSubgroup, EvenCount,
                    FullGroup, KernelSubgroup, VerifiedUpTo, WordSyntaxError,
-                   ball_size, density_check, evaluate, fixed_set,
+                   ball_size, cesaro_scan, density_check, evaluate, fixed_set,
                    fixed_point_residual, is_fixed, is_h_fixed, is_h_periodic, mod1,
                    orbit_ball, parse_subgroup, periodic_set,
                    rational_period_subgroup, rotation_of)
@@ -45,6 +45,16 @@ class TestEvaluation:
         assert mod1(F(7, 3)) == F(1, 3)
         assert mod1(1.0 - 1e-12) == 0.0  # seam clamp
         assert mod1(0.25) == 0.25
+
+    def test_angles_are_read_only(self):
+        # the scan reads residues built from the angles when the family is
+        # made, so a reassigned angle would make it disagree with apply
+        family = CircleFamily([F(1, 3), F(1, 5)])
+        with pytest.raises(AttributeError):
+            family.angles = (F(1, 7), F(1, 11))
+        assert family.angles == (F(1, 3), F(1, 5))
+        walked = sum(orbit_ball(family, F(1, 5), 3).values.values())
+        assert cesaro_scan(family, F(1, 5), 3).rows[-1].ball_sum == walked
 
     def test_rejects_nonpositive_angles(self):
         with pytest.raises(WordSyntaxError):
