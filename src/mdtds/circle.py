@@ -290,37 +290,29 @@ def _vector_sums(start: int, gen_steps: list, modulus: int, seam: int,
     and residues at or above ``seam`` count as 0.
 
     Each parity's residues are made once: one comprehension over the first
-    two coordinates and one pass per further generator, the last of them
-    reducing, by a mask when the modulus is a power of two (as it is for
-    every float family).  The words of a sphere with any vector of one
-    signed-permutation orbit are equally many, so each orbit's residues
-    are added once, as differences of their prefix sums at the orbit
-    bounds, and each sphere is the sum of its orbit counts times those orbit
-    sums.  The work is set by the numbers of vectors and orbits alone, not
-    by how the residues collide.
+    two coordinates, reducing by a mask when the modulus is a power of two
+    (as it is for every float family, where the mask is cheaper than ``%``
+    on a many-digit modulus), and one reducing pass per further generator.
+    The words of a sphere with any vector of one signed-permutation orbit
+    are equally many, so each orbit's residues are added once, as
+    differences of their prefix sums at the orbit bounds, and each sphere
+    is the sum of its orbit counts times those orbit sums.  The work is set
+    by the numbers of vectors and orbits alone, not by how the residues
+    collide.
     """
     columns, bounds, rows = vectors
     mask = modulus - 1
-    power_of_two = not modulus & mask
     # one generator reads as two, the second with step and coordinates 0
     first, second = (*gen_steps, 0)[:2]
     orbit_sums = []
     for cols, ends in zip(columns, bounds):
         pairs = zip(cols[0], cols[1] if len(cols) > 1 else repeat(0))
-        if len(cols) > 2:
-            # a pass per further generator; only the last one reduces
-            values = [start + a * first + b * second for a, b in pairs]
-            for col, step in zip(cols[2:-1], gen_steps[2:-1]):
-                values = [v + c * step for v, c in zip(values, col)]
-            col, step = cols[-1], gen_steps[-1]
-            if power_of_two:
-                residues = [(v + c * step) & mask for v, c in zip(values, col)]
-            else:
-                residues = [(v + c * step) % modulus for v, c in zip(values, col)]
-        elif power_of_two:
-            residues = [(start + a * first + b * second) & mask for a, b in pairs]
-        else:
+        if modulus & mask:
             residues = [(start + a * first + b * second) % modulus for a, b in pairs]
+        else:  # a power of two
+            residues = [(start + a * first + b * second) & mask for a, b in pairs]
+        for col, step in zip(cols[2:], gen_steps[2:]):
+            residues = [(r + c * step) % modulus for r, c in zip(residues, col)]
         if seam < modulus and max(residues, default=0) >= seam:
             residues = [r if r < seam else 0 for r in residues]
         totals = list(accumulate(residues, initial=0))

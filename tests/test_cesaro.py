@@ -334,8 +334,14 @@ class TestSphereVectors:
         (CircleFamily([F(1, 4), F(11, 14), F(15, 29)]), F(1, 5), 5),
         (CircleFamily([F(1, 3), F(2, 7), F(3, 11), F(5, 13)]), F(1, 4), 6),
         (CircleFamily([1 / 3, 0.6], exact=False), 0.2, 9),
-        (CircleFamily([2 ** 0.5 - 1, 0.59], exact=False), 0.1, 10)],
-        ids=["exact", "small-M", "three", "four", "float-seam", "float"])
+        (CircleFamily([2 ** 0.5 - 1, 0.59], exact=False), 0.1, 10),
+        # power-of-two moduli on the table path, reduced by the mask
+        (CircleFamily([F(3, 8)]), F(1, 2), 9),
+        (CircleFamily([F(1, 16), F(5, 16), F(3, 8)]), F(1, 4), 5),
+        (CircleFamily([F(33, 64), F(77, 128), F(101, 256), F(5, 32)]), F(1, 8), 6),
+        (CircleFamily([0.3, 0.45, 0.7], exact=False), 0.2, 6)],
+        ids=["exact", "small-M", "three", "four", "float-seam", "float",
+             "one-mask", "three-mask", "four-mask", "three-float"])
     def test_scan_is_the_same_without_the_table(self, family, x, radius,
                                                 monkeypatch):
         report = cesaro_scan(family, x, radius).to_csv()
