@@ -19,14 +19,14 @@ walk, which raises at the first failing word in enumeration order and names
 it; sums that overflowed from finite values are returned as they are.
 
 One rule turns sphere sums into ball sums (``_ball_sums``).  An exact
-family keeps one integer running sum, running = running * scale + raw[n],
-and its ball sum is the Fraction running / (den * scale**n); walked
-Fractions are added as they are.  A float family rounds each sphere once,
-raw[d] / (den * scale**d) by correctly rounded integer division, and adds
-the spheres left to right; walked float sums come in the walk's depth-first
-preorder, its fixed reduction order.  Either way output is reproducible bit
-for bit.  The sign study walks from the int 1 with ``operator.neg`` as every
-letter's map, so its sums are exact int sums.
+family keeps one running sum, running = running * scale + raw[n], and its
+ball sum is the Fraction running / (den * scale**n).  A float family
+rounds each sphere once, raw[d] / (den * scale**d) by correctly rounded
+integer division, and adds the spheres left to right; walked float sums
+come in the walk's depth-first preorder, its fixed reduction order.  Either
+way output is reproducible bit for bit.  The sign study walks from the int
+1 with ``operator.neg`` as every letter's map, so its sums are exact int
+sums.
 
 A ``CesaroReport`` is written as plain comma-separated lines by
 :func:`mdtds.scalars.csv_text`, the writer of every table the package
@@ -138,9 +138,9 @@ def _ball_sums(sphere_sums, exact: bool) -> list:
     """Ball sums V_0 .. V_n from sphere sums ``(raw, den, scale)``, where
     sphere d is raw[d] / (den * scale**d).
 
-    Exact: one running sum, running = running * scale + raw[n], whose
-    whole number is read as the Fraction running / (den * scale**n); walked
-    sums, ``(sums, 1, 1)``, are Fractions already and are added as they are.
+    Exact: one running sum, running = running * scale + raw[n], read as
+    the Fraction running / (den * scale**n); the hooks' whole numbers and
+    the walk's Fractions, ``(sums, 1, 1)``, take the same line.
     Float: each sphere is rounded once, raw[d] / (den * scale**d), which
     integer true division rounds correctly, and the spheres are added left
     to right.
@@ -154,10 +154,10 @@ def _ball_sums(sphere_sums, exact: bool) -> list:
             out.append(total)
             den *= scale
         return out
-    running = raw[0] - raw[0]  # zero of the right type
+    running = 0
     for value in raw:
-        running = running * scale + value if scale != 1 else running + value
-        out.append(Fraction(running, den) if type(running) is int else running)
+        running = running * scale + value
+        out.append(Fraction(running, den))
         den *= scale
     return out
 
@@ -215,16 +215,20 @@ def sign_ball_sum(radius: int, q: int) -> int:
     return value if radius % 2 == 0 else -value
 
 
+def _sign_sphere_sums(radius: int, q: int, node_cap: int) -> list:
+    """Sphere sums of (-1)^|t| for depths 0..radius, from one tree walk."""
+    n_gens = _check_even_q(q)
+    return _kernels.scan_object(n_gens, radius, [operator.neg] * q, 1,
+                                node_cap=node_cap)
+
+
 def sign_ball_sum_brute(radius: int, q: int, *, threads: int = 1,
                         node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Brute-force ball sum of (-1)^|t| by walking the tree.
 
     ``threads`` is accepted and has no effect.
     """
-    n_gens = _check_even_q(q)
-    sums = _kernels.scan_object(n_gens, radius, [operator.neg] * q, 1,
-                                node_cap=node_cap)
-    return sum(sums)
+    return sum(_sign_sphere_sums(radius, q, node_cap))
 
 
 def sign_cesaro(radius: int, q: int) -> Fraction:

@@ -47,7 +47,11 @@ def mod1(value: Scalar, tol: float = DEFAULT_TOL) -> Scalar:
 
 
 class CircleFamily(MapFamily):
-    """f_i(x) = (x + theta_i) mod 1 on [0, 1)."""
+    """f_i(x) = (x + theta_i) mod 1 on [0, 1).
+
+    ``tol`` is below 1, so the seam [1 - tol, 1) that an approximate family
+    reads as 0 leaves part of the circle outside it.
+    """
 
     def __init__(self, angles: Sequence, exact: bool = True,
                  tol: float = DEFAULT_TOL):
@@ -61,6 +65,8 @@ class CircleFamily(MapFamily):
                 raise WordSyntaxError("angles must be finite")
         if any(a <= 0 for a in self._angles):
             raise WordSyntaxError("angles must be positive")
+        if tol >= 1:  # the seam [1 - tol, 1) would cover the circle
+            raise WordSyntaxError(f"tol must be below 1 on the circle, got {tol}")
         super().__init__(len(self._angles),
                          Domain(Fraction(0), Fraction(1), upper_open=True),
                          exact=exact, tol=tol)

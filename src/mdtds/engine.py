@@ -102,7 +102,8 @@ class MapFamily:
     iterate (negative powers use the closed-form inverse).  ``exact`` families
     work on Fractions and compare by equality; approximate families work on
     floats and compare within ``tol``, and ``values_equal`` is the one place
-    that decides which.  ``letter_maps()`` gives the same maps at powers +1
+    that decides which.  A NaN, infinite or negative ``tol`` is refused with
+    WordSyntaxError.  ``letter_maps()`` gives the same maps at powers +1
     and -1 as 2k unary callables, the ones the ball walk calls once per
     word; a subclass may override it with tighter callables that return
     what ``apply`` returns and raise what it raises.  Such an override need
@@ -119,6 +120,8 @@ class MapFamily:
                  tol: float = DEFAULT_TOL):
         if n_gens < 1:
             raise WordSyntaxError("need at least one map")
+        if not 0 <= tol < math.inf:  # a NaN fails the comparison too
+            raise WordSyntaxError(f"tol must be finite and >= 0, got {tol}")
         self.n_gens = n_gens
         self.domain = domain
         self.exact = exact

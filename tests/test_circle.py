@@ -176,6 +176,21 @@ class TestFixedSet:
         exact = 1 - F(1, 10 ** 10)
         assert CircleFamily((1, 2)).coerce_point(exact) == exact
 
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"),
+                                     1.0, 1.5])
+    def test_a_tolerance_that_breaks_verdicts_is_refused(self, tol):
+        # below 0 a full turn would fix no point; from 1 on the seam
+        # [1 - tol, 1) would cover the circle and every angle fix it
+        with pytest.raises(WordSyntaxError, match="tol"):
+            CircleFamily([1.0], exact=False, tol=tol)
+        with pytest.raises(WordSyntaxError, match="tol"):
+            CircleFamily([0.3], exact=False, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nextafter(1.0, 0)])
+    def test_a_tolerance_from_0_to_below_1_is_kept(self, tol):
+        family = CircleFamily([1.0], exact=False, tol=tol)
+        assert fixed_set(family).kind == "full" and is_fixed(family, 0.25)
+
 
 class TestPeriodicSet:
     def test_cyclic_square_is_full(self, family):

@@ -312,6 +312,17 @@ class TestPaper:
         from mdtds import repro
         assert repro.run_item("ex3.9", n_max=1).passed
 
+    def test_sign_study_traversal_sums_at_another_degree(self):
+        # the item reads every radius as a prefix sum of one walk; each must
+        # be the ball sum a walk of that radius alone gives
+        from mdtds import repro, sign_ball_sum, sign_ball_sum_brute
+        item = repro.run_item("ex3.9", q=6, n_max=7)
+        assert item.passed
+        traversal = [line for line in item.lines if "traversal sum" in line]
+        assert traversal == [
+            f"ok  n={n}: traversal sum {sign_ball_sum_brute(n, 6)} vs closed "
+            f"form {sign_ball_sum(n, 6)}" for n in range(8)]
+
     @pytest.mark.parametrize("argv", [
         ("--item", "thm6.1", "--q", "5"),
         ("--item", "ex3.9", "--theta", "1/3"),

@@ -287,6 +287,17 @@ class TestToleranceBoundary:
         assert is_fixed(shift(tol), 0.0)
         assert not is_fixed(shift(math.nextafter(tol, 1)), 0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_a_nan_infinite_or_negative_tolerance_is_refused(self, tol):
+        # a negative tol would call no value equal to itself
+        with pytest.raises(WordSyntaxError, match="tol"):
+            CallableMapFamily(LINE_PAIRS, Domain(), exact=False, tol=tol)
+
+    def test_a_tolerance_of_0_compares_by_equality(self):
+        family = CallableMapFamily(LINE_PAIRS, Domain(), exact=False, tol=0.0)
+        assert family.values_equal(0.25, 0.25)
+        assert not family.values_equal(0.25, math.nextafter(0.25, 1))
+
 
 class TestOrbitBall:
     def test_radius_zero(self):
